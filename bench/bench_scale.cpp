@@ -11,6 +11,7 @@
 #include "common/stopwatch.h"
 #include "common/text_table.h"
 #include "core/scan.h"
+#include "core/scan_shard.h"
 #include "dblp/schema.h"
 #include "dblp/stats.h"
 
@@ -67,12 +68,15 @@ int main(int argc, char** argv) {
     }
 
     Stopwatch bulk;
-    auto bulk_stats = ResolveAllNames(engine, *groups);
-    if (!bulk_stats.ok()) {
-      std::fprintf(stderr, "%s\n", bulk_stats.status().ToString().c_str());
+    ShardedScanOptions scan_options;
+    scan_options.num_threads = config.num_threads;
+    auto scanned = RunShardedScan(engine, *groups, scan_options);
+    if (!scanned.ok()) {
+      std::fprintf(stderr, "%s\n", scanned.status().ToString().c_str());
       return 1;
     }
     const double seconds_bulk = bulk.Seconds();
+    const BulkStats* bulk_stats = &scanned->stats;
 
     table.AddRow(
         {StrFormat("%d", communities),

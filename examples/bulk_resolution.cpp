@@ -11,6 +11,7 @@
 #include "common/stopwatch.h"
 #include "core/distinct.h"
 #include "core/scan.h"
+#include "core/scan_shard.h"
 #include "dblp/generator.h"
 #include "dblp/schema.h"
 #include "sim/similarity_model_io.h"
@@ -41,8 +42,8 @@ int main(int argc, char** argv) {
   DistinctConfig config;
   config.promotions = DblpDefaultPromotions();
   // The engine-level kernel pool parallelizes training features and any
-  // direct ResolveName calls; the bulk scan below builds its own pool and
-  // nests group and tile parallelism inside it.
+  // direct ResolveName calls; the scan below builds its own pool and nests
+  // group and tile parallelism inside it.
   config.num_threads = static_cast<int>(flags.GetInt64("threads"));
 
   // Train-once / reuse: load a saved model when present, else train and
@@ -78,19 +79,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", groups.status().ToString().c_str());
     return 1;
   }
-  std::printf("scanning found %zu candidate names (>= %d refs)\n",
-              groups->size(), scan.min_refs);
+  std::printf("scanning found %zu candidate names (>= %lld refs)\n",
+              groups->size(), static_cast<long long>(scan.min_refs));
 
-  std::vector<BulkResolution> results;
-  const int threads = static_cast<int>(flags.GetInt64("threads"));
-  auto stats = threads > 1
-                   ? ResolveAllNamesParallel(*engine, *groups, threads,
-                                             &results)
-                   : ResolveAllNames(*engine, *groups, &results);
-  if (!stats.ok()) {
-    std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
+  ShardedScanOptions scan_options;
+  scan_options.num_threads = config.num_threads;
+  auto scanned = RunShardedScan(*engine, *groups, scan_options);
+  if (!scanned.ok()) {
+    std::fprintf(stderr, "%s\n", scanned.status().ToString().c_str());
     return 1;
   }
+  const BulkStats* stats = &scanned->stats;
+  const std::vector<BulkResolution>& results = scanned->results;
   std::printf(
       "resolved %lld names (%lld refs) in %.2fs; %lld names split into "
       "%lld clusters total\n\n",

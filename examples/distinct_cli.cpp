@@ -275,7 +275,7 @@ StatusOr<Distinct> MakeEngine(const Database& db, const FlagParser& flags,
   config.num_threads = *threads;
   auto cache_mb = IntFlagInRange(flags, "prop-cache-mb", 0, 1 << 20);
   if (!cache_mb.ok()) return cache_mb.status();
-  config.propagation_cache_mb = *cache_mb;
+  config.propagation.cache_bytes = static_cast<size_t>(*cache_mb) << 20;
   // Cap keeps the budget in bytes (mb << 20) inside int64.
   auto scan_memory_mb = Int64FlagInRange(flags, "scan-memory-mb", 0,
                                          int64_t{1} << 40);
@@ -399,7 +399,7 @@ int RunTrain(const FlagParser& flags) {
   config.num_threads = *threads;
   auto cache_mb = IntFlagInRange(flags, "prop-cache-mb", 0, 1 << 20);
   if (!cache_mb.ok()) return Fail(cache_mb.status());
-  config.propagation_cache_mb = *cache_mb;
+  config.propagation.cache_bytes = static_cast<size_t>(*cache_mb) << 20;
   if (Status s = ApplyKernelFlags(flags, &config); !s.ok()) return Fail(s);
   config.observability = obs::Enabled();
   auto engine = Distinct::Create(db->db, DblpReferenceSpec(), config);
@@ -474,46 +474,30 @@ int RunScan(const FlagParser& flags) {
   auto groups = ScanNameGroups(*engine, scan);
   if (!groups.ok()) return Fail(groups.status());
 
-  const int threads = engine->config().num_threads;
+  // Every scan is a sharded scan; without --shards it is one shard.
   auto shards = IntFlagInRange(flags, "shards", 1, 1 << 20);
   if (!shards.ok()) return Fail(shards.status());
-  const std::string checkpoint_dir = flags.GetString("checkpoint-dir");
-  const bool resume = flags.GetBool("resume");
-  const bool sharded = *shards > 1 || !checkpoint_dir.empty() || resume ||
-                       engine->config().scan_memory_mb > 0;
-
-  std::vector<BulkResolution> results;
-  BulkStats stats;
-  if (sharded) {
-    ShardedScanOptions options;
-    options.num_shards = *shards;
-    options.num_threads = threads;
-    options.checkpoint_dir = checkpoint_dir;
-    options.resume = resume;
-    options.write_trace_fragments = g_want_trace;
-    options.progress = &g_progress;
-    if (g_want_trace && !checkpoint_dir.empty()) {
-      g_trace_fragment_dir = checkpoint_dir;
-      g_trace_fragment_shards = *shards;
+  ShardedScanOptions options;
+  options.num_shards = *shards;
+  options.num_threads = engine->config().num_threads;
+  options.checkpoint_dir = flags.GetString("checkpoint-dir");
+  options.resume = flags.GetBool("resume");
+  options.write_trace_fragments = g_want_trace;
+  options.progress = &g_progress;
+  if (g_want_trace && !options.checkpoint_dir.empty()) {
+    g_trace_fragment_dir = options.checkpoint_dir;
+    g_trace_fragment_shards = *shards;
+  }
+  auto scanned = RunShardedScan(*engine, *groups, options);
+  if (!scanned.ok()) return Fail(scanned.status());
+  const std::vector<BulkResolution>& results = scanned->results;
+  const BulkStats& stats = scanned->stats;
+  g_report_tables.push_back(ShardTable(scanned->shards));
+  for (const ShardOutcome& shard : scanned->shards) {
+    if (shard.state == ShardState::kFailed) {
+      std::fprintf(stderr, "shard %d failed: %s\n", shard.shard_id,
+                   shard.error.c_str());
     }
-    auto sharded_result = RunShardedScan(*engine, *groups, options);
-    if (!sharded_result.ok()) return Fail(sharded_result.status());
-    results = std::move(sharded_result->results);
-    stats = sharded_result->stats;
-    g_report_tables.push_back(ShardTable(sharded_result->shards));
-    for (const ShardOutcome& shard : sharded_result->shards) {
-      if (shard.state == ShardState::kFailed) {
-        std::fprintf(stderr, "shard %d failed: %s\n", shard.shard_id,
-                     shard.error.c_str());
-      }
-    }
-  } else {
-    auto bulk =
-        threads > 1
-            ? ResolveAllNamesParallel(*engine, *groups, threads, &results)
-            : ResolveAllNames(*engine, *groups, &results);
-    if (!bulk.ok()) return Fail(bulk.status());
-    stats = *bulk;
   }
   std::printf("%lld names, %lld refs, %.2fs; %lld split\n",
               static_cast<long long>(stats.names_resolved),

@@ -1,7 +1,6 @@
 #include "core/delta.h"
 
 #include <algorithm>
-#include <optional>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -270,9 +269,9 @@ StatusOr<DeltaReport> Distinct::ApplyDelta(Database& db,
     for (const int32_t r : frontier) {
       dirty_ref[static_cast<size_t>(r)] |= path_bit;
     }
-    if (memo_ != nullptr) {
+    if (caches_.memo() != nullptr) {
       report.cache_entries_erased +=
-          memo_->Erase(static_cast<int>(p), junction_dirty);
+          caches_.memo()->Erase(static_cast<int>(p), junction_dirty);
     }
   }
 
@@ -306,82 +305,13 @@ StatusOr<DeltaReport> Distinct::ApplyDelta(Database& db,
   // grow them; after the universes grew they would index out of bounds, so
   // the pool is recreated (the memo keeps its surviving entries — those
   // are the expensive part).
-  if (workspaces_ != nullptr) {
-    workspaces_ = std::make_unique<WorkspacePool>(*link_graph_);
-  }
+  caches_.RenewWorkspaces();
 
   ++catalog_version_;
   tuple_watermark_ = db.TotalRows();
   report.catalog_version = catalog_version_;
   report.tuple_watermark = tuple_watermark_;
   return report;
-}
-
-StatusOr<Distinct::ResolveArtifacts> Distinct::PatchResolveArtifacts(
-    ResolveArtifacts cached, const std::vector<int32_t>& refs,
-    const std::vector<int32_t>& dirty_refs,
-    const std::vector<uint64_t>& dirty_ref_path_masks) {
-  const std::vector<int32_t>& old_refs = cached.store.refs();
-  if (old_refs.size() > refs.size() ||
-      !std::equal(old_refs.begin(), old_refs.end(), refs.begin())) {
-    return InvalidArgumentError(
-        "PatchResolveArtifacts: cached artifacts do not cover a prefix of "
-        "`refs` — append-only deltas keep existing references in place");
-  }
-  const size_t old_n = old_refs.size();
-  const bool have_masks = dirty_ref_path_masks.size() == dirty_refs.size() &&
-                          !dirty_ref_path_masks.empty();
-
-  // Positions whose profiles the delta may have changed; the appended
-  // suffix is dirty by definition (it has no cached state at all).
-  std::vector<size_t> positions;
-  std::vector<uint64_t> path_masks;
-  std::vector<char> dirty(refs.size(), 0);
-  for (size_t i = 0; i < old_n; ++i) {
-    const auto it =
-        std::lower_bound(dirty_refs.begin(), dirty_refs.end(), refs[i]);
-    if (it == dirty_refs.end() || *it != refs[i]) {
-      continue;
-    }
-    positions.push_back(i);
-    dirty[i] = 1;
-    if (have_masks) {
-      path_masks.push_back(dirty_ref_path_masks[static_cast<size_t>(
-          it - dirty_refs.begin())]);
-    }
-  }
-  for (size_t i = old_n; i < refs.size(); ++i) {
-    dirty[i] = 1;
-  }
-
-  {
-    DISTINCT_TRACE_SPAN("profile_store");
-    cached.store.Update(*engine_, extractor_->paths(), config_.propagation,
-                        positions,
-                        std::vector<int32_t>(refs.begin() + old_n, refs.end()),
-                        pool_.get(), ProfileStore::kMinParallelRefs,
-                        memo_.get(), workspaces_.get(),
-                        have_masks ? &path_masks : nullptr);
-  }
-  auto matrices = [&] {
-    DISTINCT_TRACE_SPAN("pair_matrix");
-    // Re-flatten only the updated positions (plus the appended suffix)
-    // into the cached arena — bit-identical to FromStore over the updated
-    // store.
-    {
-      DISTINCT_TRACE_SPAN("arena_patch");
-      cached.arena.PatchFromStore(cached.store, positions);
-    }
-    return UpdatePairMatrices(cached.store, cached.arena, model_, dirty,
-                              cached.resem, cached.walk, pool_.get(),
-                              kernel_options(/*for_clustering=*/true));
-  }();
-  DISTINCT_TRACE_SPAN("cluster");
-  ClusteringResult clustering =
-      ClusterReferences(matrices.first, matrices.second, cluster_options());
-  return ResolveArtifacts{std::move(cached.store), std::move(cached.arena),
-                          std::move(matrices.first),
-                          std::move(matrices.second), std::move(clustering)};
 }
 
 StatusOr<std::pair<Database, DatabaseDelta>> MakeTailDelta(
@@ -477,20 +407,12 @@ Status IncrementalCatalog::Build() {
   resolutions_.reserve(groups->size());
   artifacts_.reserve(groups->size());
   for (const NameGroup& group : *groups) {
+    auto resolved = engine_->ResolveRefsArtifacts(group.refs);
+    DISTINCT_RETURN_IF_ERROR(resolved.status());
     index_.emplace(group.name, resolutions_.size());
-    if (cache_artifacts_) {
-      auto resolved = engine_->ResolveRefsArtifacts(group.refs);
-      DISTINCT_RETURN_IF_ERROR(resolved.status());
-      resolutions_.push_back(BulkResolution{group.name, group.refs.size(),
-                                            resolved->clustering});
-      artifacts_.push_back(*std::move(resolved));
-    } else {
-      auto clustering = engine_->ResolveRefs(group.refs);
-      DISTINCT_RETURN_IF_ERROR(clustering.status());
-      resolutions_.push_back(BulkResolution{group.name, group.refs.size(),
-                                            *std::move(clustering)});
-      artifacts_.emplace_back();
-    }
+    resolutions_.push_back(
+        BulkResolution{group.name, group.refs.size(), resolved->clustering});
+    artifacts_.push_back(*std::move(resolved));
   }
   return Status::Ok();
 }
@@ -507,14 +429,14 @@ StatusOr<DeltaReport> IncrementalCatalog::Apply(Database& db,
   // Dirty names get no merge-replay shortcut: replaying merges is unsound
   // when new evidence lowers a pairwise sum (a past merge may no longer
   // clear the floor), so they are re-seeded from full matrices by the
-  // exact clusterer — that is the un-merge/re-seed rule. With cached
-  // artifacts those matrices are spliced — only cells with an endpoint in
-  // the delta's dirty references are recomputed — which is bit-identical
-  // to refilling them (every cell is a pure function of its two profiles).
+  // exact clusterer — that is the un-merge/re-seed rule. Those matrices
+  // are spliced — only cells with an endpoint in the delta's dirty
+  // references are recomputed — which is bit-identical to refilling them
+  // (every cell is a pure function of its two profiles).
   auto groups = ScanNameGroups(*engine_, options_);
   DISTINCT_RETURN_IF_ERROR(groups.status());
   std::vector<BulkResolution> next;
-  std::vector<std::optional<Distinct::ResolveArtifacts>> next_artifacts;
+  std::vector<Distinct::ResolveArtifacts> next_artifacts;
   std::unordered_map<std::string, size_t> next_index;
   next.reserve(groups->size());
   next_artifacts.reserve(groups->size());
@@ -527,27 +449,16 @@ StatusOr<DeltaReport> IncrementalCatalog::Apply(Database& db,
       ++report->names_reused;
       continue;
     }
-    if (cached != index_.end() && artifacts_[cached->second].has_value()) {
-      auto patched = engine_->PatchResolveArtifacts(
-          *std::move(artifacts_[cached->second]), group.refs,
-          report->dirty_refs, report->dirty_ref_path_masks);
-      DISTINCT_RETURN_IF_ERROR(patched.status());
-      next.push_back(BulkResolution{group.name, group.refs.size(),
-                                    patched->clustering});
-      next_artifacts.push_back(*std::move(patched));
-    } else if (cache_artifacts_) {
-      auto resolved = engine_->ResolveRefsArtifacts(group.refs);
-      DISTINCT_RETURN_IF_ERROR(resolved.status());
-      next.push_back(BulkResolution{group.name, group.refs.size(),
-                                    resolved->clustering});
-      next_artifacts.push_back(*std::move(resolved));
-    } else {
-      auto clustering = engine_->ResolveRefs(group.refs);
-      DISTINCT_RETURN_IF_ERROR(clustering.status());
-      next.push_back(BulkResolution{group.name, group.refs.size(),
-                                    *std::move(clustering)});
-      next_artifacts.emplace_back();
-    }
+    auto resolved =
+        cached != index_.end()
+            ? engine_->PatchResolveArtifacts(
+                  std::move(artifacts_[cached->second]), group.refs,
+                  report->dirty_refs, report->dirty_ref_path_masks)
+            : engine_->ResolveRefsArtifacts(group.refs);
+    DISTINCT_RETURN_IF_ERROR(resolved.status());
+    next.push_back(
+        BulkResolution{group.name, group.refs.size(), resolved->clustering});
+    next_artifacts.push_back(*std::move(resolved));
     ++report->names_reresolved;
   }
   resolutions_ = std::move(next);

@@ -1,7 +1,5 @@
 #include "core/distinct.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -9,8 +7,6 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
-#include "sim/parallel_kernel.h"
-#include "sim/profile_store.h"
 
 namespace distinct {
 
@@ -49,9 +45,6 @@ StatusOr<Distinct> Distinct::Create(const Database& db,
   Distinct engine;
   engine.db_ = &db;
   engine.config_ = std::move(config);
-  engine.config_.propagation.cache_bytes =
-      static_cast<size_t>(std::max(0, engine.config_.propagation_cache_mb))
-      << 20;
   if (engine.config_.observability) {
     obs::SetEnabled(true);
   }
@@ -82,6 +75,9 @@ StatusOr<Distinct> Distinct::Create(const Database& db,
   engine.link_graph_ = std::make_unique<LinkGraph>(*std::move(link_graph));
 
   engine.engine_ = std::make_unique<PropagationEngine>(*engine.link_graph_);
+  engine.caches_ =
+      PropagationCaches(*engine.link_graph_, engine.config_.propagation,
+                        engine.config_.propagation.cache_bytes);
 
   std::vector<JoinPath> paths = [&] {
     DISTINCT_TRACE_SPAN("enumerate_paths");
@@ -204,71 +200,54 @@ PairKernelOptions Distinct::kernel_options(bool for_clustering) const {
   return options;
 }
 
-ProfileStore Distinct::BuildProfileStore(const std::vector<int32_t>& refs) {
-  // Under the kWorkspace engine the subtree memo and the dense scratch
-  // pool live for the engine's lifetime: suffix distributions stay warm
-  // across queries and across ApplyDelta (which erases only the entries
-  // its delta dirtied). Sharing cannot change results — a memo hit
-  // returns exactly what a miss would recompute.
-  if (config_.propagation.algorithm == PropagationAlgorithm::kWorkspace &&
-      memo_ == nullptr) {
-    memo_ = std::make_unique<SubtreeCache>(config_.propagation.cache_bytes);
-    workspaces_ = std::make_unique<WorkspacePool>(*link_graph_);
+GroupResolver Distinct::resolver(bool for_clustering) const {
+  std::optional<AgglomerativeOptions> cluster;
+  if (for_clustering) {
+    cluster = cluster_options();
   }
-  DISTINCT_TRACE_SPAN("profile_store");
-  return ProfileStore::Build(*engine_, extractor_->paths(),
-                             config_.propagation, refs, pool_.get(),
-                             ProfileStore::kMinParallelRefs, memo_.get(),
-                             workspaces_.get());
+  return GroupResolver(*engine_, extractor_->paths(), config_.propagation,
+                       model_, kernel_options(for_clustering),
+                       std::move(cluster));
 }
 
-std::pair<PairMatrix, PairMatrix> Distinct::ComputeMatricesWithOptions(
-    const std::vector<int32_t>& refs, const PairKernelOptions& options) {
-  // Phase 1: n propagations per path, each independent. Phase 2: tiled
-  // lower-triangle fill. Both fan out over the engine pool when configured;
-  // with num_threads == 1 this is exactly the old serial loop.
-  const ProfileStore store = BuildProfileStore(refs);
-  DISTINCT_TRACE_SPAN("pair_matrix");
-  return ComputePairMatrices(store, model_, pool_.get(), options);
+WarmState Distinct::warm() const {
+  WarmState warm = caches_.Warm(pool_.get());
+  warm.stage_spans = true;
+  return warm;
 }
 
 StatusOr<std::pair<PairMatrix, PairMatrix>> Distinct::ComputeMatrices(
     const std::vector<int32_t>& refs) {
   // Exact matrices: callers sweep thresholds over them, so the prune (which
   // zeroes cells below config.min_sim) must stay off.
-  return ComputeMatricesWithOptions(refs,
-                                    kernel_options(/*for_clustering=*/false));
+  auto artifacts = resolver(/*for_clustering=*/false).Resolve(refs, warm());
+  DISTINCT_RETURN_IF_ERROR(artifacts.status());
+  return std::make_pair(std::move(artifacts->resem),
+                        std::move(artifacts->walk));
 }
 
 StatusOr<ClusteringResult> Distinct::ResolveRefs(
     const std::vector<int32_t>& refs) {
-  // These matrices are consumed once, by a clusterer whose merge floor is
-  // config.min_sim — exactly the contract the mass-bound prune needs.
-  const auto matrices = ComputeMatricesWithOptions(
-      refs, kernel_options(/*for_clustering=*/true));
-  DISTINCT_TRACE_SPAN("cluster");
-  return ClusterReferences(matrices.first, matrices.second,
-                           cluster_options());
+  auto artifacts = ResolveRefsArtifacts(refs);
+  DISTINCT_RETURN_IF_ERROR(artifacts.status());
+  return std::move(artifacts->clustering);
 }
 
 StatusOr<Distinct::ResolveArtifacts> Distinct::ResolveRefsArtifacts(
     const std::vector<int32_t>& refs) {
-  ProfileStore store = BuildProfileStore(refs);
-  // The arena is built once here and patched in place by later
-  // PatchResolveArtifacts calls — the fused kernel never re-flattens the
-  // whole group across deltas.
-  ProfileArena arena = ProfileArena::FromStore(store);
-  auto matrices = [&] {
-    DISTINCT_TRACE_SPAN("pair_matrix");
-    return ComputePairMatrices(store, arena, model_, pool_.get(),
-                               kernel_options(/*for_clustering=*/true));
-  }();
-  DISTINCT_TRACE_SPAN("cluster");
-  ClusteringResult clustering =
-      ClusterReferences(matrices.first, matrices.second, cluster_options());
-  return ResolveArtifacts{std::move(store), std::move(arena),
-                          std::move(matrices.first),
-                          std::move(matrices.second), std::move(clustering)};
+  // These matrices are consumed once, by a clusterer whose merge floor is
+  // config.min_sim — exactly the contract the mass-bound prune needs.
+  return resolver(/*for_clustering=*/true).Resolve(refs, warm());
+}
+
+StatusOr<Distinct::ResolveArtifacts> Distinct::PatchResolveArtifacts(
+    ResolveArtifacts cached, const std::vector<int32_t>& refs,
+    const std::vector<int32_t>& dirty_refs,
+    const std::vector<uint64_t>& dirty_ref_path_masks) {
+  return resolver(/*for_clustering=*/true)
+      .Resolve(refs, warm(),
+               GroupSplice{std::move(cached), dirty_refs,
+                           dirty_ref_path_masks});
 }
 
 StatusOr<Distinct::ResolveResult> Distinct::ResolveName(

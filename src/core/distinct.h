@@ -23,6 +23,7 @@
 #include "cluster/agglomerative.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "core/group_resolve.h"
 #include "prop/propagation.h"
 #include "relational/join_path.h"
 #include "relational/reference_spec.h"
@@ -52,12 +53,10 @@ struct DistinctConfig {
   /// Non-key attributes to promote to tuples, as (table, column) pairs.
   /// Empty means none (use DblpDefaultPromotions() for the DBLP set).
   std::vector<std::pair<std::string, std::string>> promotions;
+  /// propagation.cache_bytes sizes the engine-lifetime subtree memo of the
+  /// default workspace propagation engine (0 disables memo storage —
+  /// results are unchanged, only slower).
   PropagationOptions propagation;
-  /// Byte budget (in MiB) of the shared subtree memo used by the default
-  /// workspace propagation engine; Create() copies it into
-  /// propagation.cache_bytes. 0 disables memo storage — propagation still
-  /// runs on dense scratch and results are unchanged, only slower.
-  int propagation_cache_mb = 64;
 
   // --- Path-weight model ---
   /// false: uniform weights (the unsupervised baselines of Fig. 4).
@@ -194,19 +193,9 @@ class Distinct {
   StatusOr<ClusteringResult> ResolveRefs(const std::vector<int32_t>& refs);
 
   /// Everything ResolveRefs computes on the way to a clustering, kept so a
-  /// later delta can be spliced in instead of recomputed from scratch: the
-  /// profile store, its flattened arena (patched in place across deltas so
-  /// the fused kernel never re-flattens the whole group), both pair
-  /// matrices, and the clustering itself. The store + arena are the
-  /// resident cost (~2x 24 bytes per profile entry); the matrices are
-  /// O(refs²) doubles.
-  struct ResolveArtifacts {
-    ProfileStore store;
-    ProfileArena arena;
-    PairMatrix resem;
-    PairMatrix walk;
-    ClusteringResult clustering;
-  };
+  /// later delta can be spliced in instead of recomputed from scratch (see
+  /// core/group_resolve.h).
+  using ResolveArtifacts = GroupArtifacts;
 
   /// ResolveRefs, returning the intermediate artifacts for caching (the
   /// clustering inside is exactly what ResolveRefs(refs) returns).
@@ -251,7 +240,7 @@ class Distinct {
 
   /// Pairwise model-combined similarity matrices for `refs` — (set
   /// resemblance, random walk). Useful for min-sim sweeps: compute once,
-  /// cluster many times with ClusterReferences(). Always exact: the
+  /// cluster many times with ClusterReferences. Always exact: the
   /// mass-bound prune is never applied here, so every cell carries its
   /// true value even below config.min_sim.
   StatusOr<std::pair<PairMatrix, PairMatrix>> ComputeMatrices(
@@ -289,17 +278,18 @@ class Distinct {
   /// may sweep thresholds below min_sim — must pass false.
   PairKernelOptions kernel_options(bool for_clustering) const;
 
+  /// The per-group unit of work over this engine's paths, model and
+  /// options. With `for_clustering` it clusters (under the prune-armed
+  /// kernel options); without, it stops at exact matrices. It borrows this
+  /// engine: use it while the engine stays in place, never across a move.
+  GroupResolver resolver(bool for_clustering) const;
+
  private:
   Distinct() = default;
 
-  /// Shared body of ComputeMatrices/ResolveRefs: profile build + pair fill
-  /// under explicit kernel options (only the prune arming differs).
-  std::pair<PairMatrix, PairMatrix> ComputeMatricesWithOptions(
-      const std::vector<int32_t>& refs, const PairKernelOptions& options);
-
-  /// Lazily creates the engine-lifetime subtree memo + workspace pool
-  /// (kWorkspace only), then builds the profiles of `refs`.
-  ProfileStore BuildProfileStore(const std::vector<int32_t>& refs);
+  /// The engine-lifetime warm state: memo, workspaces and kernel pool,
+  /// with stage spans on (Distinct's methods run on the calling thread).
+  WarmState warm() const;
 
   const Database* db_ = nullptr;
   ResolvedReferenceSpec resolved_;
@@ -321,13 +311,10 @@ class Distinct {
   /// name-table primary key -> position in name_groups_; lets ApplyDelta
   /// route appended reference rows to their group without a rescan.
   std::unordered_map<int64_t, size_t> name_group_of_pk_;
-  /// Engine-lifetime subtree memo + workspace pool, created lazily by the
-  /// first ComputeMatricesWithOptions under the kWorkspace engine so warm
-  /// suffix distributions survive across queries; ApplyDelta erases only
-  /// the entries its delta dirtied and recreates the workspaces (their
-  /// dense slabs are sized at first acquire and never grow).
-  std::unique_ptr<SubtreeCache> memo_;
-  std::unique_ptr<WorkspacePool> workspaces_;
+  /// Engine-lifetime subtree memo + workspace pool, so warm suffix
+  /// distributions survive across queries; ApplyDelta erases only the
+  /// entries its delta dirtied and renews the workspaces.
+  PropagationCaches caches_;
   int64_t catalog_version_ = 0;
   int64_t tuple_watermark_ = 0;
 };

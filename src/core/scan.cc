@@ -1,16 +1,7 @@
 #include "core/scan.h"
 
 #include <algorithm>
-#include <memory>
 #include <unordered_map>
-
-#include "common/logging.h"
-#include "common/stopwatch.h"
-#include "common/thread_pool.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "sim/parallel_kernel.h"
-#include "sim/profile_store.h"
 
 namespace distinct {
 
@@ -91,134 +82,6 @@ StatusOr<std::vector<NameGroup>> ScanNameGroups(const Distinct& engine,
     groups.push_back(std::move(group));
   }
   return FilterAndSortGroups(std::move(groups), options);
-}
-
-StatusOr<BulkStats> ResolveAllNames(
-    Distinct& engine, const std::vector<NameGroup>& groups,
-    std::vector<BulkResolution>* results,
-    const std::function<bool(const BulkResolution&)>& on_result) {
-  Stopwatch watch;
-  DISTINCT_TRACE_SPAN("bulk_resolve");
-  DISTINCT_LOG(INFO) << "scan: resolving " << groups.size()
-                     << " name groups serially";
-  BulkStats stats;
-  for (const NameGroup& group : groups) {
-    Stopwatch group_watch;
-    auto clustering = engine.ResolveRefs(group.refs);
-    DISTINCT_RETURN_IF_ERROR(clustering.status());
-    DISTINCT_HISTOGRAM_RECORD("scan.resolve_nanos",
-                              group_watch.ElapsedNanos());
-
-    BulkResolution resolution;
-    resolution.name = group.name;
-    resolution.num_refs = group.refs.size();
-    resolution.clustering = *std::move(clustering);
-
-    ++stats.names_resolved;
-    stats.total_refs += static_cast<int64_t>(group.refs.size());
-    stats.total_clusters += resolution.clustering.num_clusters;
-    if (resolution.clustering.num_clusters > 1) {
-      ++stats.names_split;
-    }
-
-    const bool keep_going =
-        on_result == nullptr || on_result(resolution);
-    if (results != nullptr) {
-      results->push_back(std::move(resolution));
-    }
-    if (!keep_going) {
-      break;
-    }
-  }
-  stats.seconds = watch.Seconds();
-  DISTINCT_COUNTER_ADD("scan.names_resolved", stats.names_resolved);
-  DISTINCT_COUNTER_ADD("scan.names_split", stats.names_split);
-  DISTINCT_COUNTER_ADD("scan.refs_resolved", stats.total_refs);
-  DISTINCT_LOG(INFO) << "scan: resolved " << stats.names_resolved
-                     << " names (" << stats.names_split << " split) in "
-                     << stats.seconds << "s";
-  return stats;
-}
-
-StatusOr<BulkStats> ResolveAllNamesParallel(
-    const Distinct& engine, const std::vector<NameGroup>& groups,
-    int num_threads, std::vector<BulkResolution>* results) {
-  Stopwatch watch;
-  // One span for the whole fan-out, opened on the calling thread. Worker
-  // lambdas record only commutative counters/histograms (inside the kernels
-  // they call), so the span tree is identical at any thread count.
-  DISTINCT_TRACE_SPAN("bulk_resolve_parallel");
-  DISTINCT_LOG(INFO) << "scan: resolving " << groups.size()
-                     << " name groups on " << num_threads << " threads";
-  std::vector<BulkResolution> local(groups.size());
-
-  // The subtree memo is reference-independent, so one cache serves every
-  // name group of the scan: subtrees computed while resolving one name are
-  // hits for all later names that reach the same junction tuples. The
-  // workspace pool is likewise scan-wide, capping dense-scratch allocation
-  // at one workspace per concurrent worker for the whole run.
-  std::unique_ptr<SubtreeCache> memo;
-  std::unique_ptr<WorkspacePool> workspaces;
-  if (engine.config().propagation.algorithm ==
-      PropagationAlgorithm::kWorkspace) {
-    memo = std::make_unique<SubtreeCache>(
-        engine.config().propagation.cache_bytes);
-    workspaces =
-        std::make_unique<WorkspacePool>(engine.propagation_engine().link());
-  }
-
-  {
-    ThreadPool pool(num_threads);
-    // Groups are one task each; a mega-group's profile propagations and
-    // pair-matrix tiles additionally fan out to the same pool from inside
-    // the group task (ParallelForShared is re-entrant, so idle workers
-    // help while busy ones keep resolving other groups). Each group gets
-    // a fresh read-only ProfileStore — nothing outlives the call, unlike
-    // the retired `thread_local` extractors keyed by engine address, which
-    // dangled when a destroyed engine's address was reused.
-    const SimilarityModel& model = engine.model();
-    const AgglomerativeOptions options = engine.cluster_options();
-    const PairKernelOptions kernel =
-        engine.kernel_options(/*for_clustering=*/true);
-    ParallelFor(pool, static_cast<int64_t>(groups.size()),
-                [&](int64_t g) {
-                  const NameGroup& group = groups[static_cast<size_t>(g)];
-                  const ProfileStore store = ProfileStore::Build(
-                      engine.propagation_engine(), engine.paths(),
-                      engine.config().propagation, group.refs, &pool,
-                      ProfileStore::kMinParallelRefs, memo.get(),
-                      workspaces.get());
-                  auto matrices =
-                      ComputePairMatrices(store, model, &pool, kernel);
-                  BulkResolution& resolution =
-                      local[static_cast<size_t>(g)];
-                  resolution.name = group.name;
-                  resolution.num_refs = group.refs.size();
-                  resolution.clustering = ClusterReferences(
-                      matrices.first, matrices.second, options);
-                });
-  }
-
-  BulkStats stats;
-  for (BulkResolution& resolution : local) {
-    ++stats.names_resolved;
-    stats.total_refs += static_cast<int64_t>(resolution.num_refs);
-    stats.total_clusters += resolution.clustering.num_clusters;
-    if (resolution.clustering.num_clusters > 1) {
-      ++stats.names_split;
-    }
-    if (results != nullptr) {
-      results->push_back(std::move(resolution));
-    }
-  }
-  stats.seconds = watch.Seconds();
-  DISTINCT_COUNTER_ADD("scan.names_resolved", stats.names_resolved);
-  DISTINCT_COUNTER_ADD("scan.names_split", stats.names_split);
-  DISTINCT_COUNTER_ADD("scan.refs_resolved", stats.total_refs);
-  DISTINCT_LOG(INFO) << "scan: resolved " << stats.names_resolved
-                     << " names (" << stats.names_split << " split) in "
-                     << stats.seconds << "s";
-  return stats;
 }
 
 }  // namespace distinct

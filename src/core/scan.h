@@ -3,14 +3,13 @@
 //
 // The paper resolves ten hand-picked names; a production deployment wants
 // "split every name in the catalog". This module enumerates the candidate
-// names (those with enough references to possibly be several people) and
-// drives bulk resolution with progress-friendly batching.
+// names (those with enough references to possibly be several people);
+// RunShardedScan (core/scan_shard.h) resolves them.
 
 #ifndef DISTINCT_CORE_SCAN_H_
 #define DISTINCT_CORE_SCAN_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -62,25 +61,6 @@ struct BulkStats {
   int64_t total_clusters = 0;
   double seconds = 0.0;
 };
-
-/// Resolves every scanned name group with `engine`. `on_result` (optional)
-/// is invoked after each name; returning false aborts the run early.
-StatusOr<BulkStats> ResolveAllNames(
-    Distinct& engine, const std::vector<NameGroup>& groups,
-    std::vector<BulkResolution>* results = nullptr,
-    const std::function<bool(const BulkResolution&)>& on_result = nullptr);
-
-/// Parallel variant: resolves names on `num_threads` workers. Small groups
-/// are resolved one-per-task; a mega-group additionally fans its own
-/// profile propagations and pair-matrix tiles out to the same pool
-/// (nested groups × tiles parallelism), so one "Wei Wang"-scale name no
-/// longer serializes the run. Each group's profiles live in a per-group
-/// read-only ProfileStore; the shared propagation engine and model are
-/// read-only. Results are in group order, bit-identical to the sequential
-/// ones. No callback/early-abort in this mode.
-StatusOr<BulkStats> ResolveAllNamesParallel(
-    const Distinct& engine, const std::vector<NameGroup>& groups,
-    int num_threads, std::vector<BulkResolution>* results = nullptr);
 
 }  // namespace distinct
 

@@ -1,7 +1,6 @@
 #include "core/scan_shard.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <utility>
 
@@ -14,8 +13,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
-#include "sim/parallel_kernel.h"
-#include "sim/profile_store.h"
 
 namespace distinct {
 
@@ -36,8 +33,7 @@ struct ShardBudget {
 ShardBudget ComputeShardBudget(const Distinct& engine,
                                const ShardedScanOptions& options) {
   const DistinctConfig& config = engine.config();
-  const bool dense =
-      config.propagation.algorithm == PropagationAlgorithm::kWorkspace;
+  const bool dense = PropagationCaches::UsedBy(config.propagation);
   ShardBudget budget;
   budget.threads = std::max(1, options.num_threads);
   const int64_t mb = options.memory_budget_mb > 0 ? options.memory_budget_mb
@@ -65,41 +61,26 @@ ShardBudget ComputeShardBudget(const Distinct& engine,
   return budget;
 }
 
-/// Resolves the groups at `indices` with the existing parallel kernel —
-/// same per-group body as ResolveAllNamesParallel, so the resolutions are
-/// bit-identical to the unsharded scan's. `out` is parallel to `indices`.
+/// Resolves the groups at `indices` on one pool: each group is one task
+/// of the per-group unit, and a mega-group's propagations and matrix tiles
+/// additionally fan out to the same pool from inside its task
+/// (ParallelForShared is re-entrant, so idle workers help while busy ones
+/// keep resolving other groups). `out` is parallel to `indices`. A group
+/// the unit rejects fails the whole shard.
 Status ResolveShardGroups(const Distinct& engine,
                           const std::vector<NameGroup>& groups,
                           const std::vector<size_t>& indices,
                           const ShardBudget& budget,
                           obs::ProgressState* progress,
                           std::vector<BulkResolution>* out) {
-  const bool dense = engine.config().propagation.algorithm ==
-                     PropagationAlgorithm::kWorkspace;
-
-  // Up-front validation so a bad group fails the shard cleanly instead of
-  // crashing a worker mid-kernel.
-  const std::vector<JoinPath>& paths = engine.paths();
-  const int64_t num_start_tuples =
-      paths.empty() ? 0
-                    : engine.propagation_engine().link().NumTuples(
-                          paths.front().start_node);
   // Admission is measured, not just estimated: bytes the tracked
   // subsystems already hold (engine-level memo entries, arenas from prior
   // work) count against the budget alongside the group's matrix estimate.
-  const int64_t standing_bytes =
-      obs::MemoryTracker::Global().TrackedTotalBytes();
-  for (const size_t g : indices) {
-    const NameGroup& group = groups[g];
-    for (const int32_t ref : group.refs) {
-      if (!paths.empty() && (ref < 0 || ref >= num_start_tuples)) {
-        return InvalidArgumentError(StrFormat(
-            "group '%s' has out-of-range reference %d (universe %lld)",
-            group.name.c_str(), ref,
-            static_cast<long long>(num_start_tuples)));
-      }
-    }
-    if (budget.budget_bytes > 0) {
+  if (budget.budget_bytes > 0) {
+    const int64_t standing_bytes =
+        obs::MemoryTracker::Global().TrackedTotalBytes();
+    for (const size_t g : indices) {
+      const NameGroup& group = groups[g];
       const int64_t matrix_bytes =
           EstimatedGroupMatrixBytes(static_cast<int64_t>(group.refs.size()));
       if (standing_bytes + matrix_bytes > budget.budget_bytes) {
@@ -118,34 +99,27 @@ Status ResolveShardGroups(const Distinct& engine,
   // Shard-local memo and workspace pool: the memo is capped by the budget
   // carve-out, the pool by the (budget-capped) worker count. Hit/miss and
   // reuse patterns cannot change values — only speed — so per-shard caches
-  // keep the output identical to the scan-wide ones.
-  std::unique_ptr<SubtreeCache> memo;
-  std::unique_ptr<WorkspacePool> workspaces;
-  if (dense) {
-    memo = std::make_unique<SubtreeCache>(budget.cache_bytes);
-    workspaces =
-        std::make_unique<WorkspacePool>(engine.propagation_engine().link());
-  }
-
+  // keep the output identical to any other caller's.
+  const PropagationCaches caches(engine.propagation_engine().link(),
+                                 engine.config().propagation,
+                                 budget.cache_bytes);
+  const GroupResolver resolver = engine.resolver(/*for_clustering=*/true);
+  std::vector<Status> statuses(indices.size());
   out->assign(indices.size(), BulkResolution{});
   {
     ThreadPool pool(budget.threads);
-    const SimilarityModel& model = engine.model();
-    const AgglomerativeOptions cluster_options = engine.cluster_options();
-    const PairKernelOptions kernel =
-        engine.kernel_options(/*for_clustering=*/true);
+    const WarmState warm = caches.Warm(&pool);
     ParallelFor(pool, static_cast<int64_t>(indices.size()), [&](int64_t i) {
       const NameGroup& group = groups[indices[static_cast<size_t>(i)]];
-      const ProfileStore store = ProfileStore::Build(
-          engine.propagation_engine(), paths, engine.config().propagation,
-          group.refs, &pool, ProfileStore::kMinParallelRefs, memo.get(),
-          workspaces.get());
-      auto matrices = ComputePairMatrices(store, model, &pool, kernel);
+      auto artifacts = resolver.Resolve(group.refs, warm);
+      if (!artifacts.ok()) {
+        statuses[static_cast<size_t>(i)] = artifacts.status();
+        return;
+      }
       BulkResolution& resolution = (*out)[static_cast<size_t>(i)];
       resolution.name = group.name;
       resolution.num_refs = group.refs.size();
-      resolution.clustering = ClusterReferences(
-          matrices.first, matrices.second, cluster_options);
+      resolution.clustering = std::move(artifacts->clustering);
       if (progress != nullptr) {
         progress->groups_done.fetch_add(1, std::memory_order_relaxed);
         progress->refs_done.fetch_add(
@@ -154,7 +128,26 @@ Status ResolveShardGroups(const Distinct& engine,
       }
     });
   }
-  return Status::Ok();
+  const auto failed =
+      std::find_if(statuses.begin(), statuses.end(),
+                   [](const Status& status) { return !status.ok(); });
+  if (failed == statuses.end()) {
+    return Status::Ok();
+  }
+  if (progress != nullptr) {
+    // The shard's results are discarded, so its groups stay un-done.
+    for (size_t i = 0; i < indices.size(); ++i) {
+      if (statuses[i].ok()) {
+        progress->groups_done.fetch_sub(1, std::memory_order_relaxed);
+        progress->refs_done.fetch_sub(
+            static_cast<int64_t>(groups[indices[i]].refs.size()),
+            std::memory_order_relaxed);
+      }
+    }
+  }
+  const NameGroup& group = groups[indices[failed - statuses.begin()]];
+  return Status(failed->code(), StrFormat("group '%s': %s", group.name.c_str(),
+                                          failed->message().c_str()));
 }
 
 /// Checks a loaded checkpoint against the current plan; resuming against a

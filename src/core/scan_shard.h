@@ -1,12 +1,13 @@
 // Sharded, memory-bounded bulk scan with checkpoint/resume.
 //
-// ScanNameGroups + ResolveAllNamesParallel materialize every group, every
-// profile, and every pair matrix inside one process lifetime — one OOM or
-// crash loses the whole run. This layer partitions the filtered groups
-// into deterministic, size-balanced shards (balanced by estimated pair
-// count, since cost and matrix memory are quadratic in group size, not by
-// group count), runs each shard through the existing parallel kernel under
-// a per-shard memory budget (DistinctConfig::scan_memory_mb), and persists
+// Every bulk scan runs here; an unsharded scan is one shard. A scan that
+// materialized every group, profile and pair matrix inside one process
+// lifetime would lose the whole run to one OOM or crash, so this layer
+// partitions the filtered groups into deterministic, size-balanced shards
+// (balanced by estimated pair count, since cost and matrix memory are
+// quadratic in group size, not by group count), runs each shard's groups
+// through the per-group unit (core/group_resolve.h) under a per-shard
+// memory budget (DistinctConfig::scan_memory_mb), and persists
 // each finished shard as a checkpoint (core/checkpoint.h) so an
 // interrupted run resumes by re-running only the unfinished shard. A shard
 // that fails — bad group, matrix estimate over budget, checkpoint I/O
@@ -14,10 +15,10 @@
 // completes.
 //
 // Determinism: the plan is a pure function of (groups, num_shards); shard
-// results merge back into the original group order; and the kernel is
+// results merge back into the original group order; and the unit is
 // bit-identical across thread counts, cache sizes, and workspace reuse, so
-// the merged output is byte-identical to the unsharded scan at every shard
-// count and every budget that completes.
+// the merged output is byte-identical to Distinct::ResolveRefs per group at
+// every shard count and every budget that completes.
 
 #ifndef DISTINCT_CORE_SCAN_SHARD_H_
 #define DISTINCT_CORE_SCAN_SHARD_H_
@@ -62,7 +63,7 @@ ShardPlan PlanShards(const std::vector<NameGroup>& groups, int num_shards);
 struct ShardedScanOptions {
   int num_shards = 1;
   /// Worker threads per shard (shards run one after another; within a
-  /// shard, groups × tiles fan out exactly like ResolveAllNamesParallel).
+  /// shard, groups × tiles fan out over one pool).
   int num_threads = 1;
   /// Per-shard memory budget in MiB; 0 falls back to
   /// DistinctConfig::scan_memory_mb (and 0 there means unbounded). The

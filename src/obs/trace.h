@@ -76,8 +76,9 @@ class Tracer {
 /// is off at open time.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name) {
-    if (Enabled()) {
+  /// `record` false opens nothing (for code that also runs on workers).
+  explicit ScopedSpan(const char* name, bool record = true) {
+    if (record && Enabled()) {
       index_ = Tracer::Global().OpenSpan(name);
     }
   }

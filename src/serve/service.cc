@@ -11,7 +11,6 @@
 #include "obs/json_writer.h"
 #include "obs/memory.h"
 #include "obs/metrics.h"
-#include "sim/profile_store.h"
 
 namespace distinct {
 namespace serve {
@@ -54,15 +53,10 @@ ServeService::ServeService(const Distinct& engine, ServiceOptions options)
                                   : engine.config().num_threads);
   options_.num_threads = threads;
   pool_ = std::make_unique<ThreadPool>(threads);
-  // The warm state the bulk scan builds per run, pinned for the server's
-  // lifetime (see ResolveAllNamesParallel for the sharing argument).
-  if (engine.config().propagation.algorithm ==
-      PropagationAlgorithm::kWorkspace) {
-    memo_ = std::make_unique<SubtreeCache>(
-        engine.config().propagation.cache_bytes);
-    workspaces_ =
-        std::make_unique<WorkspacePool>(engine.propagation_engine().link());
-  }
+  // The warm state a scan shard builds, pinned for the server's lifetime.
+  caches_ = PropagationCaches(engine.propagation_engine().link(),
+                              engine.config().propagation,
+                              engine.config().propagation.cache_bytes);
   if (options_.progress != nullptr) {
     progress_ = options_.progress;
   }
@@ -301,33 +295,21 @@ StatusOr<std::shared_ptr<const ResolveAnswer>> ServeService::ComputeAnswer(
   std::optional<CancelToken> token;
   if (deadline != std::chrono::steady_clock::time_point::max()) {
     token.emplace(deadline);
-    if (token->CheckAbort()) {
-      return DeadlineExceededError(
-          "serve: deadline expired before compute");
-    }
   }
-
-  // The exact batch sequence (Distinct::ResolveRefs via the shared warm
-  // state, like ResolveAllNamesParallel): memo hits return precisely what
-  // misses would compute, so the answer is bit-identical to a cold batch
-  // run.
-  const ProfileStore store = ProfileStore::Build(
-      engine_.propagation_engine(), engine_.paths(),
-      engine_.config().propagation, refs, pool_.get(),
-      ProfileStore::kMinParallelRefs, memo_.get(), workspaces_.get());
-  PairKernelOptions kernel = engine_.kernel_options(/*for_clustering=*/true);
-  kernel.cancel = token.has_value() ? &*token : nullptr;
-  auto matrices =
-      ComputePairMatrices(store, engine_.model(), pool_.get(), kernel);
-  if (token.has_value() && token->aborted()) {
-    // The fill stopped at a tile/row boundary; the matrices are partial
-    // and are dropped here, never clustered and never cached.
-    return DeadlineExceededError("serve: deadline expired in pair kernel");
+  // The batch unit over the shared warm state: memo hits return precisely
+  // what misses would compute, so the answer is bit-identical to a cold
+  // batch run. A fired deadline discards the partial matrices unclustered.
+  WarmState warm = caches_.Warm(pool_.get());
+  warm.cancel = token.has_value() ? &*token : nullptr;
+  auto artifacts =
+      engine_.resolver(/*for_clustering=*/true).Resolve(refs, warm);
+  if (!artifacts.ok()) {
+    return Status(artifacts.status().code(),
+                  "serve: " + artifacts.status().message());
   }
   auto answer = std::make_shared<ResolveAnswer>();
   answer->refs = refs;
-  answer->clustering = ClusterReferences(matrices.first, matrices.second,
-                                         engine_.cluster_options());
+  answer->clustering = std::move(artifacts->clustering);
   return std::shared_ptr<const ResolveAnswer>(std::move(answer));
 }
 

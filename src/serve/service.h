@@ -28,10 +28,9 @@
 //    bound holds with margin rather than by luck.
 //
 // Answers are bit-identical to the batch path: the executor is the same
-// ProfileStore::Build → ComputePairMatrices → ClusterReferences sequence
-// as Distinct::ResolveRefs, sharing the memo exactly like the bulk scan —
-// memo hits return what misses would compute, so warmth never changes a
-// result.
+// per-group unit (core/group_resolve.h) as Distinct::ResolveRefs and the
+// bulk scan, sharing the memo exactly like a scan shard — memo hits return
+// what misses would compute, so warmth never changes a result.
 
 #ifndef DISTINCT_SERVE_SERVICE_H_
 #define DISTINCT_SERVE_SERVICE_H_
@@ -52,7 +51,6 @@
 #include "common/thread_pool.h"
 #include "core/distinct.h"
 #include "obs/heartbeat.h"
-#include "prop/workspace.h"
 #include "serve/protocol.h"
 
 namespace distinct {
@@ -159,8 +157,7 @@ class ServeService {
   ServiceOptions options_;
   int64_t budget_bytes_ = 0;  // 0 = unbounded
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<SubtreeCache> memo_;
-  std::unique_ptr<WorkspacePool> workspaces_;
+  PropagationCaches caches_;
   /// reference row -> position in engine.name_groups(), for classify_row.
   std::unordered_map<int32_t, size_t> group_of_row_;
 

@@ -74,6 +74,30 @@ TEST(DistinctTest, MatricesAreSymmetricAndSized) {
   }
 }
 
+// Row ids outside the reference table are rejected up front by every
+// entry point, before any propagation reads them.
+TEST(DistinctTest, OutOfRangeRowIsInvalidArgument) {
+  Database db = testing_util::MakeMiniDblp();
+  Distinct engine = MiniEngine(db);
+  const int64_t universe = engine.propagation_engine().link().NumTuples(
+      engine.paths().front().start_node);
+  for (const int32_t bad : {-1, static_cast<int32_t>(universe)}) {
+    const std::vector<int32_t> refs = {0, bad};
+    EXPECT_EQ(engine.ResolveRefs(refs).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(engine.ComputeMatrices(refs).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(engine.ResolveRefsArtifacts(refs).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  // The engine is unharmed: the valid group still resolves.
+  EXPECT_TRUE(engine.ResolveRefs({0, static_cast<int32_t>(universe - 1)})
+                  .ok());
+}
+
 TEST(DistinctTest, MinSimControlsGranularity) {
   Database db = testing_util::MakeMiniDblp();
 

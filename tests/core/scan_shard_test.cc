@@ -107,9 +107,19 @@ class ShardedScanTest : public ::testing::Test {
     DISTINCT_CHECK(groups->size() > 4);
     groups_ = new std::vector<NameGroup>(*std::move(groups));
 
+    // The reference: every group through Distinct::ResolveRefs, on a
+    // second engine that is gone before any test runs — its warm memo
+    // would otherwise count against the budgeted scans' admission.
     baseline_ = new std::vector<BulkResolution>();
-    auto stats = ResolveAllNamesParallel(*engine_, *groups_, 2, baseline_);
-    DISTINCT_CHECK(stats.ok());
+    auto reference =
+        Distinct::Create(dataset_->db, DblpReferenceSpec(), config);
+    DISTINCT_CHECK(reference.ok());
+    for (const NameGroup& group : *groups_) {
+      auto clustering = reference->ResolveRefs(group.refs);
+      DISTINCT_CHECK(clustering.ok());
+      baseline_->push_back(BulkResolution{group.name, group.refs.size(),
+                                          *std::move(clustering)});
+    }
   }
 
   static void TearDownTestSuite() {
@@ -130,8 +140,9 @@ class ShardedScanTest : public ::testing::Test {
     return dir.string();
   }
 
-  /// Asserts `results` is byte-for-byte the unsharded baseline: same order,
-  /// names, sizes, assignments, and bit-identical merge similarities.
+  /// Asserts `results` is byte-for-byte the per-group baseline: same
+  /// order, names, sizes, assignments, and bit-identical merge
+  /// similarities.
   static void ExpectMatchesBaseline(
       const std::vector<BulkResolution>& results) {
     ASSERT_EQ(results.size(), baseline_->size());
@@ -168,18 +179,26 @@ Distinct* ShardedScanTest::engine_ = nullptr;
 std::vector<NameGroup>* ShardedScanTest::groups_ = nullptr;
 std::vector<BulkResolution>* ShardedScanTest::baseline_ = nullptr;
 
-// The acceptance bar: sharded output is byte-identical to the unsharded
-// scan at shard counts 1, 2, and 7.
+// The acceptance bar: sharded output is byte-identical to per-group
+// Distinct::ResolveRefs at shard counts 1, 2, 4, 7 and 8, and under a
+// 64 MiB per-shard budget.
 TEST_F(ShardedScanTest, ByteIdenticalAtEveryShardCount) {
-  for (const int num_shards : {1, 2, 7}) {
+  struct Run {
+    int shards;
+    int64_t budget_mb;
+  };
+  for (const Run run : {Run{1, 0}, Run{2, 0}, Run{4, 0}, Run{7, 0},
+                        Run{8, 0}, Run{4, 64}}) {
     ShardedScanOptions options;
-    options.num_shards = num_shards;
+    options.num_shards = run.shards;
+    options.memory_budget_mb = run.budget_mb;
     options.num_threads = 2;
     auto result = RunShardedScan(*engine_, *groups_, options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    ASSERT_EQ(result->shards.size(), static_cast<size_t>(num_shards));
+    ASSERT_EQ(result->shards.size(),
+              static_cast<size_t>(options.num_shards));
     for (const ShardOutcome& shard : result->shards) {
-      EXPECT_EQ(shard.state, ShardState::kCompleted);
+      EXPECT_EQ(shard.state, ShardState::kCompleted) << shard.error;
       EXPECT_TRUE(shard.error.empty());
     }
     ExpectMatchesBaseline(result->results);
@@ -215,8 +234,13 @@ TEST_F(ShardedScanTest, BadGroupFailsItsShardOnly) {
 
   ShardedScanOptions options;
   options.num_shards = 4;
+  obs::ProgressState progress;
+  options.progress = &progress;
   auto result = RunShardedScan(*engine_, groups, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // The failed shard's groups stay un-done, even those that resolved.
+  EXPECT_EQ(progress.groups_done.load(),
+            static_cast<int64_t>(result->results.size()));
 
   int failed = 0;
   for (const ShardOutcome& shard : result->shards) {

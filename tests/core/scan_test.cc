@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "../test_util.h"
+#include "core/scan_shard.h"
 #include "dblp/generator.h"
 
 namespace distinct {
@@ -105,6 +106,39 @@ TEST(ScanTest, EngineScanMatchesDatabaseScan) {
   }
 }
 
+/// Every group resolved on its own through Distinct::ResolveRefs — the
+/// reference the bulk scan must reproduce exactly.
+std::vector<ClusteringResult> ResolveEachGroup(
+    Distinct& engine, const std::vector<NameGroup>& groups) {
+  std::vector<ClusteringResult> out;
+  for (const NameGroup& group : groups) {
+    auto clustering = engine.ResolveRefs(group.refs);
+    DISTINCT_CHECK(clustering.ok());
+    out.push_back(*std::move(clustering));
+  }
+  return out;
+}
+
+void ExpectScanMatches(const ShardedScanResult& scan,
+                       const std::vector<NameGroup>& groups,
+                       const std::vector<ClusteringResult>& expected,
+                       int threads) {
+  ASSERT_EQ(scan.results.size(), groups.size());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    const BulkResolution& got = scan.results[g];
+    EXPECT_EQ(got.name, groups[g].name);
+    EXPECT_EQ(got.num_refs, groups[g].refs.size());
+    EXPECT_EQ(got.clustering.assignment, expected[g].assignment)
+        << got.name << " at " << threads << " threads";
+    ASSERT_EQ(got.clustering.merges.size(), expected[g].merges.size());
+    for (size_t m = 0; m < expected[g].merges.size(); ++m) {
+      EXPECT_EQ(got.clustering.merges[m].similarity,
+                expected[g].merges[m].similarity)
+          << got.name << " merge " << m;
+    }
+  }
+}
+
 class ResolveAllTest : public ::testing::Test {
  protected:
   ResolveAllTest() : db_(testing_util::MakeMiniDblp()) {
@@ -123,37 +157,24 @@ class ResolveAllTest : public ::testing::Test {
 TEST_F(ResolveAllTest, ResolvesEveryGroup) {
   auto groups = ScanNameGroups(db_, DblpReferenceSpec());
   ASSERT_TRUE(groups.ok());
-  std::vector<BulkResolution> results;
-  auto stats = ResolveAllNames(*engine_, *groups, &results);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->names_resolved, 2);
-  EXPECT_EQ(stats->total_refs, 5);
-  EXPECT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].name, "Wei Wang");
+  auto scan = RunShardedScan(*engine_, *groups, ShardedScanOptions{});
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  const BulkStats& stats = scan->stats;
+  EXPECT_EQ(stats.names_resolved, 2);
+  EXPECT_EQ(stats.total_refs, 5);
+  EXPECT_EQ(scan->results.size(), 2u);
+  EXPECT_EQ(scan->results[0].name, "Wei Wang");
   // Wei Wang splits (refs 0,2 vs 6); total clusters across names >= 3.
-  EXPECT_GE(stats->total_clusters, 3);
-  EXPECT_GE(stats->names_split, 1);
-  EXPECT_GE(stats->seconds, 0.0);
-}
-
-TEST_F(ResolveAllTest, CallbackCanAbort) {
-  auto groups = ScanNameGroups(db_, DblpReferenceSpec());
-  ASSERT_TRUE(groups.ok());
-  int calls = 0;
-  auto stats = ResolveAllNames(*engine_, *groups, nullptr,
-                               [&](const BulkResolution&) {
-                                 ++calls;
-                                 return false;  // abort after the first
-                               });
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(stats->names_resolved, 1);
+  EXPECT_GE(stats.total_clusters, 3);
+  EXPECT_GE(stats.names_split, 1);
+  EXPECT_GE(stats.seconds, 0.0);
 }
 
 TEST_F(ResolveAllTest, EmptyGroupListIsFine) {
-  auto stats = ResolveAllNames(*engine_, {});
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->names_resolved, 0);
+  auto scan = RunShardedScan(*engine_, {}, ShardedScanOptions{});
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(scan->stats.names_resolved, 0);
+  EXPECT_TRUE(scan->results.empty());
 }
 
 TEST_F(ResolveAllTest, ParallelMatchesSequential) {
@@ -161,32 +182,21 @@ TEST_F(ResolveAllTest, ParallelMatchesSequential) {
   options.min_refs = 1;
   auto groups = ScanNameGroups(db_, DblpReferenceSpec(), options);
   ASSERT_TRUE(groups.ok());
+  const std::vector<ClusteringResult> sequential =
+      ResolveEachGroup(*engine_, *groups);
 
-  std::vector<BulkResolution> sequential;
-  auto seq_stats = ResolveAllNames(*engine_, *groups, &sequential);
-  ASSERT_TRUE(seq_stats.ok());
-
-  for (const int threads : {1, 2, 4}) {
-    std::vector<BulkResolution> parallel;
-    auto par_stats =
-        ResolveAllNamesParallel(*engine_, *groups, threads, &parallel);
-    ASSERT_TRUE(par_stats.ok());
-    EXPECT_EQ(par_stats->names_resolved, seq_stats->names_resolved);
-    EXPECT_EQ(par_stats->total_clusters, seq_stats->total_clusters);
-    EXPECT_EQ(par_stats->names_split, seq_stats->names_split);
-    ASSERT_EQ(parallel.size(), sequential.size());
-    for (size_t g = 0; g < parallel.size(); ++g) {
-      EXPECT_EQ(parallel[g].name, sequential[g].name);
-      EXPECT_EQ(parallel[g].clustering.assignment,
-                sequential[g].clustering.assignment)
-          << parallel[g].name;
-    }
+  for (const int threads : {1, 2, 4, 8}) {
+    ShardedScanOptions scan_options;
+    scan_options.num_threads = threads;
+    auto scan = RunShardedScan(*engine_, *groups, scan_options);
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    ExpectScanMatches(*scan, *groups, sequential, threads);
   }
 }
 
 // One mega-name (n >= 200 refs) among many small groups: the load pattern
-// the nested groups x tiles parallelism exists for. The parallel resolver
-// must match the sequential one exactly at every thread count.
+// the nested groups x tiles parallelism exists for. The scan must match
+// per-group ResolveRefs exactly at every thread count.
 TEST(ResolveAllMegaGroupTest, ParallelMatchesSequentialWithMegaGroup) {
   GeneratorConfig generator;
   generator.seed = 11;
@@ -214,25 +224,14 @@ TEST(ResolveAllMegaGroupTest, ParallelMatchesSequentialWithMegaGroup) {
   EXPECT_GE((*groups)[0].refs.size(), 200u);
   EXPECT_GT(groups->size(), 4u);
 
-  std::vector<BulkResolution> sequential;
-  auto seq_stats = ResolveAllNames(*engine, *groups, &sequential);
-  ASSERT_TRUE(seq_stats.ok());
-
-  for (const int threads : {2, 4, 8}) {
-    std::vector<BulkResolution> parallel;
-    auto par_stats =
-        ResolveAllNamesParallel(*engine, *groups, threads, &parallel);
-    ASSERT_TRUE(par_stats.ok());
-    EXPECT_EQ(par_stats->names_resolved, seq_stats->names_resolved);
-    EXPECT_EQ(par_stats->total_clusters, seq_stats->total_clusters);
-    ASSERT_EQ(parallel.size(), sequential.size());
-    for (size_t g = 0; g < parallel.size(); ++g) {
-      EXPECT_EQ(parallel[g].name, sequential[g].name);
-      EXPECT_EQ(parallel[g].num_refs, sequential[g].num_refs);
-      EXPECT_EQ(parallel[g].clustering.assignment,
-                sequential[g].clustering.assignment)
-          << parallel[g].name << " at " << threads << " threads";
-    }
+  const std::vector<ClusteringResult> sequential =
+      ResolveEachGroup(*engine, *groups);
+  for (const int threads : {1, 2, 4, 8}) {
+    ShardedScanOptions scan_options;
+    scan_options.num_threads = threads;
+    auto scan = RunShardedScan(*engine, *groups, scan_options);
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    ExpectScanMatches(*scan, *groups, sequential, threads);
   }
 }
 

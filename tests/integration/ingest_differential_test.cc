@@ -6,6 +6,7 @@
 // similarities compared as exact doubles, not within tolerance.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <memory>
@@ -36,7 +37,10 @@ DistinctConfig UnsupervisedConfig() {
 class IngestDifferentialTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    const std::string base = ::testing::TempDir() + "/ingest_differential";
+    // Per-process paths: ctest runs each test of this suite as its own
+    // process, possibly concurrently, and each process builds the suite.
+    const std::string base = ::testing::TempDir() + "/ingest_differential." +
+                             std::to_string(::getpid());
     const std::string xml_path = base + ".xml";
     const std::string catalog_dir = base + ".catalog";
     std::filesystem::remove_all(catalog_dir);
@@ -63,6 +67,12 @@ class IngestDifferentialTest : public ::testing::Test {
 
     std::remove(xml_path.c_str());
     std::filesystem::remove_all(catalog_dir);
+  }
+
+  void SetUp() override {
+    if (loaded_db_ == nullptr || catalog_db_ == nullptr) {
+      GTEST_SKIP() << "suite set-up failed (see its error above)";
+    }
   }
 
   static void TearDownTestSuite() {

@@ -8,6 +8,7 @@
 #include "../test_util.h"
 #include "core/distinct.h"
 #include "core/scan.h"
+#include "core/scan_shard.h"
 #include "obs/metrics.h"
 
 namespace distinct {
@@ -105,12 +106,20 @@ TEST_F(TraceTest, SpanTreeDeterministicAcrossEngineThreadCounts) {
     scan.min_refs = 2;
     auto groups = ScanNameGroups(*engine, scan);
     ASSERT_TRUE(groups.ok());
-    auto stats = ResolveAllNames(*engine, *groups);
-    ASSERT_TRUE(stats.ok());
+    ASSERT_FALSE(groups->empty());
+    for (const NameGroup& group : *groups) {
+      ASSERT_TRUE(engine->ResolveRefs(group.refs).ok());
+    }
 
+    // After Create's spans, each group records its three stages as roots
+    // on the calling thread.
     const std::vector<std::string> structure =
         Structure(Tracer::Global().Snapshot());
-    EXPECT_FALSE(structure.empty());
+    ASSERT_GT(structure.size(), 3 * groups->size());
+    const size_t first = structure.size() - 3 * groups->size();
+    EXPECT_EQ(structure[first], "profile_store(-1,0)");
+    EXPECT_EQ(structure[first + 1], "pair_matrix(-1,0)");
+    EXPECT_EQ(structure[first + 2], "cluster(-1,0)");
     if (baseline.empty()) {
       baseline = structure;
     } else {
@@ -131,16 +140,19 @@ TEST_F(TraceTest, ParallelBulkScanRecordsOneSpanPerRun) {
   ASSERT_TRUE(groups.ok());
 
   std::vector<std::string> baseline;
-  for (const int threads : {2, 8}) {
+  for (const int threads : {1, 2, 8}) {
     Tracer::Global().Reset();
-    auto stats = ResolveAllNamesParallel(*engine, *groups, threads);
-    ASSERT_TRUE(stats.ok());
-    // Worker lambdas record only counters/histograms; the whole fan-out is
-    // one span on the calling thread, at any worker count.
+    ShardedScanOptions options;
+    options.num_threads = threads;
+    auto scan = RunShardedScan(*engine, *groups, options);
+    ASSERT_TRUE(scan.ok());
+    // Pool workers record only counters/histograms; the whole fan-out is
+    // one shard span on the calling thread, at any worker count.
     const std::vector<std::string> structure =
         Structure(Tracer::Global().Snapshot());
-    ASSERT_EQ(structure.size(), 1u);
-    EXPECT_EQ(structure[0], "bulk_resolve_parallel(-1,0)");
+    ASSERT_EQ(structure.size(), 2u);
+    EXPECT_EQ(structure[0], "sharded_scan(-1,0)");
+    EXPECT_EQ(structure[1], "scan_shard(0,0)");
     if (baseline.empty()) {
       baseline = structure;
     } else {

@@ -303,7 +303,7 @@ TEST(WorkspaceEndToEndTest, ClusteringIdenticalCacheOnOffAcrossThreads) {
       DistinctConfig config;
       config.supervised = false;
       config.promotions = DblpDefaultPromotions();
-      config.propagation_cache_mb = cache_mb;
+      config.propagation.cache_bytes = static_cast<size_t>(cache_mb) << 20;
       config.num_threads = threads;
       auto engine =
           Distinct::Create(dataset->db, DblpReferenceSpec(), config);
