@@ -162,7 +162,6 @@ int main(int argc, char** argv) {
              static_cast<int64_t>(report->dirty_names.size()));
     json.Add(prefix + "names_reused", report->names_reused);
     json.Add(prefix + "names_reresolved", report->names_reresolved);
-    json.Add(prefix + "cache_entries_erased", report->cache_entries_erased);
     json.Add(prefix + "apply_s", apply_s);
     json.Add(prefix + "rebuild_s", rebuild_s);
     json.Add(prefix + "speedup", speedup);
@@ -181,7 +180,7 @@ int main(int argc, char** argv) {
   json.Write();
   std::printf(
       "\n'apply' is catalog.Apply(): delta validation, in-place link-graph "
-      "extension, targeted memo invalidation, and re-resolving only the "
+      "extension, workspace renewal, and re-resolving only the "
       "dirtied names; 'rebuild' recreates the engine and resolves every "
       "name. 'exact' confirms both catalogs are bit-identical.\n");
   return 0;

@@ -80,12 +80,11 @@ void BM_PropagationWorkspace(benchmark::State& state) {
   PropagationOptions options;
   options.algorithm = PropagationAlgorithm::kWorkspace;
   PropagationWorkspace workspace(fixture.engine->link());
-  SubtreeCache cache(options.cache_bytes);
   size_t i = 0;
   for (auto _ : state) {
     const int32_t ref = fixture.refs[i++ % fixture.refs.size()];
-    benchmark::DoNotOptimize(fixture.engine->Compute(
-        path, ref, options, workspace, &cache, /*cache_path_id=*/0));
+    benchmark::DoNotOptimize(
+        fixture.engine->Compute(path, ref, options, workspace));
   }
   state.SetLabel(path.Describe(*fixture.schema));
 }

@@ -1,9 +1,9 @@
 // Profile-build throughput of the propagation engines on one synthetic
-// DBLP-scale mega-name: depth-first and level-wise baselines vs. the dense
-// workspace engine with the subtree memo off and on. The memo-on row is the
-// headline — shared subtrees are computed once per name-resolution run
-// instead of once per reference — and must verify bit-identical profiles
-// against the memo-off run.
+// DBLP-scale mega-name: the depth-first and level-wise baselines vs. the
+// dense workspace engine every production path runs (no subtree memo).
+// The workspace row is the headline. An untimed oracle pass then builds
+// the same profiles through a subtree memo, cold and warm, and must find
+// them bit-identical to the memo-less build.
 
 #include <cstdio>
 #include <thread>
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   flags.AddInt64("refs", 600, "references on the synthetic mega-name");
   flags.AddInt64("repeat", 3, "timed repetitions per configuration");
   flags.AddInt64("threads", 1, "worker threads (0 = serial only)");
-  flags.AddInt64("cache-mb", 64, "subtree memo budget for the memo-on row");
+  flags.AddInt64("cache-mb", 64, "subtree memo budget of the oracle pass");
   if (Status s = flags.Parse(argc - 1, argv + 1); !s.ok()) {
     std::fprintf(stderr, "%s\n%s", s.ToString().c_str(),
                  flags.Help().c_str());
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   }
 
   PrintBanner("bench_propagation",
-              "dense scratch + subtree memo (implementation, not a paper "
+              "dense scratch propagation (implementation, not a paper "
               "figure)");
 
   const int refs_target = MustIntInRange(flags, "refs", 1, 1 << 20);
@@ -106,75 +106,35 @@ int main(int argc, char** argv) {
   json.Add("threads", static_cast<int64_t>(threads));
   json.Add("cache_mb", flags.GetInt64("cache-mb"));
 
-  TextTable table(
-      {"engine", "total (s)", "refs/sec", "vs level-wise", "memo hits"});
-  for (size_t c = 1; c <= 4; ++c) table.SetRightAlign(c);
+  TextTable table({"engine", "total (s)", "refs/sec", "vs level-wise"});
+  for (size_t c = 1; c <= 3; ++c) table.SetRightAlign(c);
 
   struct Row {
     const char* label;
     const char* key;
     PropagationAlgorithm algorithm;
-    size_t cache_bytes;
-    bool warm;  // keep one memo across repetitions (the bulk-scan regime)
   };
   const Row rows[] = {
-      {"depth-first", "dfs", PropagationAlgorithm::kDepthFirst, 0, false},
-      {"level-wise", "levelwise", PropagationAlgorithm::kLevelWise, 0,
-       false},
-      {"workspace (memo off)", "workspace_nocache",
-       PropagationAlgorithm::kWorkspace, 0, false},
-      {"workspace (memo cold)", "workspace_memo",
-       PropagationAlgorithm::kWorkspace, cache_bytes, false},
-      {"workspace (memo warm)", "workspace_memo_warm",
-       PropagationAlgorithm::kWorkspace, cache_bytes, true},
+      {"depth-first", "dfs", PropagationAlgorithm::kDepthFirst},
+      {"level-wise", "levelwise", PropagationAlgorithm::kLevelWise},
+      {"workspace", "workspace", PropagationAlgorithm::kWorkspace},
   };
 
   double levelwise_rate = 0.0;
-  double memo_rate = 0.0;
-  double warm_rate = 0.0;
-  ProfileStore memo_off_store = ProfileStore::Build(
+  double workspace_rate = 0.0;
+  ProfileStore workspace_store = ProfileStore::Build(
       prop_engine, paths, engine.config().propagation, {});
-  bool have_memo_off = false;
   for (const Row& row : rows) {
     PropagationOptions options = engine.config().propagation;
     options.algorithm = row.algorithm;
-    options.cache_bytes = row.cache_bytes;
-    const bool dense = row.algorithm == PropagationAlgorithm::kWorkspace;
-    const bool memo_on = dense && row.cache_bytes > 0;
-    // Warm regime: subtrees are already memoized by earlier work — in the
-    // bulk scan, by the name groups of this reference's co-authors, which
-    // reach the same junction tuples (the same papers). One warm-up build
-    // outside the timed loop stands in for that earlier work.
-    SubtreeCache warm_cache(options.cache_bytes);
-    if (row.warm) {
-      (void)ProfileStore::Build(prop_engine, paths, options, *refs,
-                                pool.get(), ProfileStore::kMinParallelRefs,
-                                &warm_cache);
-    }
     double seconds = 0.0;
-    int64_t hits = 0;
-    int64_t misses = 0;
-    bool exact = true;
     for (int r = 0; r < repeat; ++r) {
-      // Cold regime: a fresh memo per repetition, so hits come only from
-      // sharing within one name-resolution run.
-      SubtreeCache cold_cache(options.cache_bytes);
-      SubtreeCache& cache = row.warm ? warm_cache : cold_cache;
-      const SubtreeCacheStats before = cache.stats();
       Stopwatch watch;
-      ProfileStore store = ProfileStore::Build(
-          prop_engine, paths, options, *refs, pool.get(),
-          ProfileStore::kMinParallelRefs, dense ? &cache : nullptr);
+      ProfileStore store = ProfileStore::Build(prop_engine, paths, options,
+                                               *refs, pool.get());
       seconds += watch.Seconds();
-      hits += cache.stats().hits - before.hits;
-      misses += cache.stats().misses - before.misses;
-      if (dense) {
-        if (!memo_on) {
-          memo_off_store = std::move(store);
-          have_memo_off = true;
-        } else if (have_memo_off) {
-          exact = exact && StoresIdentical(memo_off_store, store);
-        }
+      if (row.algorithm == PropagationAlgorithm::kWorkspace) {
+        workspace_store = std::move(store);
       }
     }
     seconds /= repeat;
@@ -182,47 +142,46 @@ int main(int argc, char** argv) {
         seconds > 0 ? static_cast<double>(refs->size()) / seconds : 0.0;
     if (row.algorithm == PropagationAlgorithm::kLevelWise) {
       levelwise_rate = rate;
+    } else if (row.algorithm == PropagationAlgorithm::kWorkspace) {
+      workspace_rate = rate;
     }
-    if (memo_on) {
-      (row.warm ? warm_rate : memo_rate) = rate;
-    }
-    const double hit_fraction =
-        hits + misses > 0
-            ? static_cast<double>(hits) / static_cast<double>(hits + misses)
-            : 0.0;
     table.AddRow(
         {row.label, StrFormat("%.3f", seconds), StrFormat("%.0f", rate),
          levelwise_rate > 0 ? StrFormat("%.2fx", rate / levelwise_rate)
-                            : "-",
-         memo_on ? StrFormat("%.0f%%", 100.0 * hit_fraction) : "-"});
+                            : "-"});
     const std::string prefix = std::string(row.key) + "_";
     json.Add(prefix + "total_s", seconds);
     json.Add(prefix + "refs_per_sec", rate);
-    if (memo_on) {
-      json.Add(prefix + "hit_rate", hit_fraction);
-      json.Add(prefix + "exact_vs_no_memo",
-               static_cast<int64_t>(exact ? 1 : 0));
-      if (!exact) {
-        std::fprintf(stderr,
-                     "error: memo-on profiles diverged from memo-off\n");
-        return 1;
-      }
-    }
   }
-  json.Add("memo_speedup_vs_levelwise",
-           levelwise_rate > 0 ? memo_rate / levelwise_rate : 0.0);
-  json.Add("warm_memo_speedup_vs_levelwise",
-           levelwise_rate > 0 ? warm_rate / levelwise_rate : 0.0);
+  json.Add("workspace_speedup_vs_levelwise",
+           levelwise_rate > 0 ? workspace_rate / levelwise_rate : 0.0);
+
+  // Oracle pass: a cold memo (fresh) and a warm one (filled by an earlier
+  // build over the same references) must both reproduce the memo-less
+  // profiles bit for bit.
+  const PropagationOptions& options = engine.config().propagation;
+  SubtreeCache memo(cache_bytes);
+  bool exact = true;
+  for (const char* key : {"workspace_memo", "workspace_memo_warm"}) {
+    const ProfileStore store = ProfileStore::Build(
+        prop_engine, paths, options, *refs, pool.get(),
+        ProfileStore::kMinParallelRefs, &memo);
+    const bool same = StoresIdentical(workspace_store, store);
+    exact = exact && same;
+    json.Add(std::string(key) + "_exact_vs_no_memo",
+             static_cast<int64_t>(same ? 1 : 0));
+  }
 
   std::printf("%s", table.Render().c_str());
   json.Write();
+  if (!exact) {
+    std::fprintf(stderr, "error: memo-on profiles diverged from memo-off\n");
+    return 1;
+  }
   std::printf(
-      "\nmemo-enabled speedup vs level-wise: %.2fx cold, %.2fx warm "
-      "(acceptance floor: 2x). cold hits need references sharing junction "
-      "tuples within one name; the warm row is the bulk-scan regime, where "
-      "one memo spans every name group. profiles are bit-identical with "
-      "the memo on, off, cold, or warm.\n",
-      levelwise_rate > 0 ? memo_rate / levelwise_rate : 0.0,
-      levelwise_rate > 0 ? warm_rate / levelwise_rate : 0.0);
+      "\nworkspace speedup vs level-wise: %.2fx. profiles are bit-identical "
+      "with a subtree memo, cold or warm (the memo is a test oracle; no "
+      "production path uses it).\n",
+      levelwise_rate > 0 ? workspace_rate / levelwise_rate : 0.0);
   return 0;
 }

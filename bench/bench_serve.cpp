@@ -407,9 +407,8 @@ int main(int argc, char** argv) {
               static_cast<long long>(errors), drained ? "clean" : "DIRTY");
 
   // ---- Phase B: admission under a deliberately tiny budget. -----------
-  // The engine (and phase A's warm memo) hold tracked standing bytes that
-  // admission counts, so an absolute 1 MiB budget would reject everything;
-  // auto mode leaves ~2 MiB of genuine headroom above whatever stands.
+  // Whatever tracked bytes stand in the process count against admission,
+  // so auto mode leaves ~2 MiB of genuine headroom above them.
   if (budget_mb == 0) {
     budget_mb =
         (obs::MemoryTracker::Global().TrackedTotalBytes() >> 20) + 2;

@@ -86,24 +86,18 @@ int main(int argc, char** argv) {
               groups->size(), threads,
               std::thread::hardware_concurrency());
 
-  // Exactness reference: every group resolved on its own (untimed), by a
-  // second engine that is gone before the timed runs — its warm memo
-  // would otherwise count against the budgeted run's admission.
+  // Exactness reference: every group resolved on its own (untimed).
   std::vector<BulkResolution> reference;
   int64_t total_refs = 0;
-  {
-    Distinct reference_engine = MustCreate(dataset.db, config);
-    for (const NameGroup& group : *groups) {
-      auto clustering = reference_engine.ResolveRefs(group.refs);
-      if (!clustering.ok()) {
-        std::fprintf(stderr, "%s\n",
-                     clustering.status().ToString().c_str());
-        return 1;
-      }
-      reference.push_back(BulkResolution{group.name, group.refs.size(),
-                                         *std::move(clustering)});
-      total_refs += static_cast<int64_t>(group.refs.size());
+  for (const NameGroup& group : *groups) {
+    auto clustering = engine.ResolveRefs(group.refs);
+    if (!clustering.ok()) {
+      std::fprintf(stderr, "%s\n", clustering.status().ToString().c_str());
+      return 1;
     }
+    reference.push_back(BulkResolution{group.name, group.refs.size(),
+                                       *std::move(clustering)});
+    total_refs += static_cast<int64_t>(group.refs.size());
   }
 
   TextTable table({"configuration", "shards", "time (s)", "overhead",
@@ -175,7 +169,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nshards run sequentially through the same per-group unit; the "
       "overhead column (time over the one-shard scan) is the price of "
-      "per-shard caches and planning, and 'exact' confirms the merged "
-      "output is byte-identical to per-group ResolveRefs.\n");
+      "per-shard workspace pools and planning, and 'exact' confirms the "
+      "merged output is byte-identical to per-group ResolveRefs.\n");
   return 0;
 }

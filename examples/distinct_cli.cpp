@@ -116,7 +116,7 @@ void Usage() {
                "                 ingested columnar catalog instead of "
                "--dir)\n"
                "                --threads=N --stopping=fixed|largest-gap\n"
-               "                --no-incremental --prop-cache-mb=N\n"
+               "                --no-incremental\n"
                "                --kernel=fused|reference "
                "--kernel-pruning\n"
                "                --kernel-isa=auto|scalar|gallop|avx2\n"
@@ -273,9 +273,6 @@ StatusOr<Distinct> MakeEngine(const Database& db, const FlagParser& flags,
   auto threads = IntFlagInRange(flags, "threads", 1, 4096);
   if (!threads.ok()) return threads.status();
   config.num_threads = *threads;
-  auto cache_mb = IntFlagInRange(flags, "prop-cache-mb", 0, 1 << 20);
-  if (!cache_mb.ok()) return cache_mb.status();
-  config.propagation.cache_bytes = static_cast<size_t>(*cache_mb) << 20;
   // Cap keeps the budget in bytes (mb << 20) inside int64.
   auto scan_memory_mb = Int64FlagInRange(flags, "scan-memory-mb", 0,
                                          int64_t{1} << 40);
@@ -397,9 +394,6 @@ int RunTrain(const FlagParser& flags) {
   auto threads = IntFlagInRange(flags, "threads", 1, 4096);
   if (!threads.ok()) return Fail(threads.status());
   config.num_threads = *threads;
-  auto cache_mb = IntFlagInRange(flags, "prop-cache-mb", 0, 1 << 20);
-  if (!cache_mb.ok()) return Fail(cache_mb.status());
-  config.propagation.cache_bytes = static_cast<size_t>(*cache_mb) << 20;
   if (Status s = ApplyKernelFlags(flags, &config); !s.ok()) return Fail(s);
   config.observability = obs::Enabled();
   auto engine = Distinct::Create(db->db, DblpReferenceSpec(), config);
@@ -569,13 +563,11 @@ int RunAppend(const FlagParser& flags) {
 
   std::printf(
       "appended %lld rows (%lld references): %zu dirty names, "
-      "%lld resolutions reused, %lld re-resolved, %lld memo entries "
-      "erased\n",
+      "%lld resolutions reused, %lld re-resolved\n",
       static_cast<long long>(report->rows_appended),
       static_cast<long long>(report->new_refs), report->dirty_names.size(),
       static_cast<long long>(report->names_reused),
-      static_cast<long long>(report->names_reresolved),
-      static_cast<long long>(report->cache_entries_erased));
+      static_cast<long long>(report->names_reresolved));
   std::printf("catalog: %zu -> %zu names, version %lld, watermark %lld\n",
               names_before, catalog.resolutions().size(),
               static_cast<long long>(report->catalog_version),
@@ -726,15 +718,13 @@ int main(int argc, char** argv) {
   flags.AddInt64("max-refs", 500, "scan: maximum references per name");
   flags.AddInt64("threads", 1,
                  "worker threads (similarity kernel; scan: also names)");
-  flags.AddInt64("prop-cache-mb", 64,
-                 "propagation subtree-memo budget in MiB (0 disables "
-                 "storage; results are unchanged either way)");
   flags.AddInt64("shards", 1,
                  "scan: partition the name groups into this many "
                  "deterministic shards (balanced by estimated pair count)");
   flags.AddInt64("scan-memory-mb", 0,
                  "scan: per-shard memory budget in MiB (0 = unbounded); "
-                 "bounds the subtree memo and concurrent workspaces");
+                 "bounds concurrent workspaces and admits groups by "
+                 "pair-matrix size");
   flags.AddString("checkpoint-dir", "",
                   "scan: write per-shard checkpoints into this directory "
                   "(empty disables checkpointing)");

@@ -214,8 +214,7 @@ StatusOr<DeltaReport> Distinct::ApplyDelta(Database& db,
   }
 
   // Per-path backward sweep: the frontier at level 0 is the references
-  // whose profile along the path may have changed; the frontier at the
-  // junction level is the memo entries whose cached suffix may have.
+  // whose profile along the path may have changed.
   const std::vector<JoinPath>& paths = extractor_->paths();
   const int start_node = paths.empty() ? 0 : paths.front().start_node;
   // Per-reference bitmask of the paths whose profile the delta may have
@@ -228,14 +227,8 @@ StatusOr<DeltaReport> Distinct::ApplyDelta(Database& db,
     const JoinPath& path = paths[p];
     const std::vector<int> node_at = NodeAtLevels(schema, path);
     const size_t k = path.steps.size();
-    const size_t junction = SubtreeJunctionLevel(
-        path, node_at, config_.propagation.exclude_start_tuple);
     std::vector<int32_t> frontier =
         changed[static_cast<size_t>(node_at[k])];
-    std::vector<int32_t> junction_dirty;
-    if (junction == k) {
-      junction_dirty = frontier;
-    }
     for (size_t level = k; level >= 1; --level) {
       const JoinStep& step = path.steps[level - 1];
       const int prev_node = node_at[level - 1];
@@ -261,17 +254,10 @@ StatusOr<DeltaReport> Distinct::ApplyDelta(Database& db,
       }
       std::sort(prev.begin(), prev.end());
       frontier = std::move(prev);
-      if (level - 1 == junction) {
-        junction_dirty = frontier;
-      }
     }
     const uint64_t path_bit = p < 64 ? uint64_t{1} << p : ~uint64_t{0};
     for (const int32_t r : frontier) {
       dirty_ref[static_cast<size_t>(r)] |= path_bit;
-    }
-    if (caches_.memo() != nullptr) {
-      report.cache_entries_erased +=
-          caches_.memo()->Erase(static_cast<int>(p), junction_dirty);
     }
   }
 
@@ -303,8 +289,7 @@ StatusOr<DeltaReport> Distinct::ApplyDelta(Database& db,
 
   // Pooled workspaces size their dense slabs at first acquire and never
   // grow them; after the universes grew they would index out of bounds, so
-  // the pool is recreated (the memo keeps its surviving entries — those
-  // are the expensive part).
+  // the pool is recreated.
   caches_.RenewWorkspaces();
 
   ++catalog_version_;

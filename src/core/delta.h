@@ -8,9 +8,9 @@
 //   * DatabaseDelta batches rows to append, per table.
 //   * Distinct::ApplyDelta() (declared in distinct.h, defined here)
 //     validates the batch, appends it, extends the LinkGraph in place,
-//     absorbs new names/references into the name index, erases exactly the
-//     SubtreeCache entries whose memoized path suffixes touch changed
-//     tuples, and reports every name whose similarity evidence changed.
+//     absorbs new names/references into the name index, renews the
+//     workspace pool, and reports every name whose similarity evidence
+//     changed.
 //   * IncrementalCatalog keeps per-name resolutions resident and, after a
 //     delta, re-resolves only the dirty names — reusing every clean
 //     cached resolution. Because dirty detection is conservative and
@@ -26,8 +26,7 @@
 // along a path changes only if the path's forward cone from that
 // reference intersects S — so sweeping preimages of S∩level from the
 // deepest level back to level 0 yields a superset of the affected
-// references, and the sweep's frontier at the path's junction level is
-// exactly the set of memo entries to invalidate.
+// references.
 
 #ifndef DISTINCT_CORE_DELTA_H_
 #define DISTINCT_CORE_DELTA_H_
@@ -87,7 +86,8 @@ struct DeltaReport {
   /// conservative all-ones mask). The splice update recomputes only the
   /// flagged paths.
   std::vector<uint64_t> dirty_ref_path_masks;
-  /// Subtree-memo entries invalidated by the delta.
+  /// Always 0: propagation keeps no subtree memo, so a delta has no memo
+  /// entries to invalidate. Kept for callers that still report it.
   int64_t cache_entries_erased = 0;
   int64_t names_reused = 0;
   int64_t names_reresolved = 0;

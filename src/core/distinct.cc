@@ -76,8 +76,7 @@ StatusOr<Distinct> Distinct::Create(const Database& db,
 
   engine.engine_ = std::make_unique<PropagationEngine>(*engine.link_graph_);
   engine.caches_ =
-      PropagationCaches(*engine.link_graph_, engine.config_.propagation,
-                        engine.config_.propagation.cache_bytes);
+      PropagationCaches(*engine.link_graph_, engine.config_.propagation);
 
   std::vector<JoinPath> paths = [&] {
     DISTINCT_TRACE_SPAN("enumerate_paths");

@@ -53,9 +53,8 @@ struct DistinctConfig {
   /// Non-key attributes to promote to tuples, as (table, column) pairs.
   /// Empty means none (use DblpDefaultPromotions() for the DBLP set).
   std::vector<std::pair<std::string, std::string>> promotions;
-  /// propagation.cache_bytes sizes the engine-lifetime subtree memo of the
-  /// default workspace propagation engine (0 disables memo storage —
-  /// results are unchanged, only slower).
+  /// Propagation engine and limits. Its cache_bytes sizes only test-oracle
+  /// memos (prop/workspace.h); the engine itself never builds one.
   PropagationOptions propagation;
 
   // --- Path-weight model ---
@@ -119,9 +118,9 @@ struct DistinctConfig {
   /// variant returns bit-identical matrices — this is purely a speed knob.
   KernelIsa kernel_isa = KernelIsa::kAuto;
   /// Per-shard memory budget (in MiB) of the sharded bulk scan
-  /// (core/scan_shard.h). Sizes the shard's SubtreeCache and bounds how
-  /// many concurrent PropagationWorkspaces (and therefore worker threads)
-  /// a shard may use; a name group whose pair matrices alone would exceed
+  /// (core/scan_shard.h). Bounds how many concurrent
+  /// PropagationWorkspaces (and therefore worker threads) a shard may use;
+  /// a name group whose pair matrices alone would exceed
   /// the budget fails its shard instead of OOMing the process. 0 = no
   /// bound. Results are bit-identical at every budget that completes.
   int64_t scan_memory_mb = 0;
@@ -224,9 +223,9 @@ class Distinct {
   /// uniqueness, foreign-key resolvability — against existing and pending
   /// rows alike) before anything mutates, so a bad delta leaves database
   /// and engine untouched. On success the link graph is extended in place,
-  /// the name index absorbs the new name/reference rows, stale subtree
-  /// memo entries are dropped, and the report lists every name whose
-  /// evidence changed (and therefore must be re-resolved — see
+  /// the name index absorbs the new name/reference rows, the workspace
+  /// pool is renewed for the grown universes, and the report lists every
+  /// name whose evidence changed (and therefore must be re-resolved — see
   /// core/delta.h's IncrementalCatalog for the cached-resolution layer).
   /// Resolutions computed after ApplyDelta are bit-identical to a fresh
   /// Create() over the appended database with the same model.
@@ -287,7 +286,7 @@ class Distinct {
  private:
   Distinct() = default;
 
-  /// The engine-lifetime warm state: memo, workspaces and kernel pool,
+  /// The engine-lifetime warm state: workspaces and kernel pool,
   /// with stage spans on (Distinct's methods run on the calling thread).
   WarmState warm() const;
 
@@ -311,9 +310,8 @@ class Distinct {
   /// name-table primary key -> position in name_groups_; lets ApplyDelta
   /// route appended reference rows to their group without a rescan.
   std::unordered_map<int64_t, size_t> name_group_of_pk_;
-  /// Engine-lifetime subtree memo + workspace pool, so warm suffix
-  /// distributions survive across queries; ApplyDelta erases only the
-  /// entries its delta dirtied and renews the workspaces.
+  /// Engine-lifetime workspace pool, so dense scratch is recycled across
+  /// queries; ApplyDelta renews it after the universes grew.
   PropagationCaches caches_;
   int64_t catalog_version_ = 0;
   int64_t tuple_watermark_ = 0;

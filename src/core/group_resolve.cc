@@ -9,11 +9,9 @@
 namespace distinct {
 
 PropagationCaches::PropagationCaches(const LinkGraph& link,
-                                     const PropagationOptions& options,
-                                     size_t memo_bytes)
+                                     const PropagationOptions& options)
     : link_(&link) {
   if (UsedBy(options)) {
-    memo_ = std::make_unique<SubtreeCache>(memo_bytes);
     workspaces_ = std::make_unique<WorkspacePool>(link);
   }
 }
@@ -98,7 +96,7 @@ StatusOr<GroupArtifacts> GroupResolver::Resolve(
   }
 
   // Phase 1: one propagation per (reference, path), fanned out over the
-  // pool; every worker shares the memo and the workspaces.
+  // pool; every worker recycles workspaces from the shared pool.
   std::optional<ProfileStore> fresh;
   {
     obs::ScopedSpan span("profile_store", warm.stage_spans);
@@ -107,12 +105,13 @@ StatusOr<GroupArtifacts> GroupResolver::Resolve(
           *engine_, *paths_, *propagation_, positions,
           std::vector<int32_t>(refs.begin() + static_cast<ptrdiff_t>(old_n),
                                refs.end()),
-          warm.pool, ProfileStore::kMinParallelRefs, warm.memo,
+          warm.pool, ProfileStore::kMinParallelRefs, /*shared_cache=*/nullptr,
           warm.workspaces, path_masks.empty() ? nullptr : &path_masks);
     } else {
       fresh.emplace(ProfileStore::Build(
           *engine_, *paths_, *propagation_, refs, warm.pool,
-          ProfileStore::kMinParallelRefs, warm.memo, warm.workspaces));
+          ProfileStore::kMinParallelRefs, /*shared_cache=*/nullptr,
+          warm.workspaces));
     }
   }
   ProfileStore& store = splice.has_value() ? splice->cached.store : *fresh;

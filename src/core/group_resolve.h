@@ -2,9 +2,8 @@
 // as the single unit of work behind Distinct::ResolveRefs and friends, the
 // sharded scan's workers, the resident server and the incremental catalog.
 // Callers differ only in the warm state they hand in; warm state never
-// changes a result (memo hits return exactly what misses would compute,
-// workspaces are epoch-reset on reuse), so every caller gets bit-identical
-// clusterings. DESIGN.md §6 has the caller table.
+// changes a result (workspaces are epoch-reset on reuse), so every caller
+// gets bit-identical clusterings. DESIGN.md §6 has the caller table.
 
 #ifndef DISTINCT_CORE_GROUP_RESOLVE_H_
 #define DISTINCT_CORE_GROUP_RESOLVE_H_
@@ -30,10 +29,8 @@
 namespace distinct {
 
 /// The warm state of one caller, borrowed for a resolve. Null members mean
-/// a call-local memo, fresh workspaces, the calling thread only, and no
-/// deadline.
+/// fresh workspaces, the calling thread only, and no deadline.
 struct WarmState {
-  SubtreeCache* memo = nullptr;
   WorkspacePool* workspaces = nullptr;
   ThreadPool* pool = nullptr;
   /// A fired token makes the resolve return DeadlineExceeded and drop its
@@ -45,22 +42,20 @@ struct WarmState {
   bool stage_spans = false;
 };
 
-/// Owns the subtree memo and workspace pool of the workspace propagation
-/// engine; both stay null under the engines that use neither. A caller
-/// keeps one for as long as suffix distributions should stay warm.
+/// Owns the workspace pool of the workspace propagation engine; it stays
+/// null under the engines that use none. A caller keeps one for as long as
+/// its dense scratch should be recycled across resolves.
 class PropagationCaches {
  public:
   PropagationCaches() = default;
-  PropagationCaches(const LinkGraph& link, const PropagationOptions& options,
-                    size_t memo_bytes);
+  PropagationCaches(const LinkGraph& link, const PropagationOptions& options);
 
-  /// Whether `options` select the engine that uses a memo and workspaces.
+  /// Whether `options` select the engine that uses workspaces.
   static bool UsedBy(const PropagationOptions& options);
 
   WarmState Warm(ThreadPool* pool) const {
-    return WarmState{memo_.get(), workspaces_.get(), pool};
+    return WarmState{workspaces_.get(), pool};
   }
-  SubtreeCache* memo() const { return memo_.get(); }
 
   /// Replaces the workspace pool after the link graph grew: pooled
   /// workspaces size their dense slabs at first acquire and never grow.
@@ -68,7 +63,6 @@ class PropagationCaches {
 
  private:
   const LinkGraph* link_ = nullptr;
-  std::unique_ptr<SubtreeCache> memo_;
   std::unique_ptr<WorkspacePool> workspaces_;
 };
 

@@ -26,35 +26,27 @@ namespace {
 /// What the per-shard memory budget affords.
 struct ShardBudget {
   int threads = 1;
-  size_t cache_bytes = 0;    // SubtreeCache capacity (dense engine only)
   int64_t budget_bytes = 0;  // 0 = unbounded
 };
 
 ShardBudget ComputeShardBudget(const Distinct& engine,
                                const ShardedScanOptions& options) {
   const DistinctConfig& config = engine.config();
-  const bool dense = PropagationCaches::UsedBy(config.propagation);
   ShardBudget budget;
   budget.threads = std::max(1, options.num_threads);
   const int64_t mb = options.memory_budget_mb > 0 ? options.memory_budget_mb
                                                   : config.scan_memory_mb;
   if (mb <= 0) {
-    budget.cache_bytes = dense ? config.propagation.cache_bytes : 0;
     return budget;
   }
   budget.budget_bytes = mb << 20;
-  if (dense) {
-    // A quarter of the budget for the subtree memo (never more than the
-    // configured cache), the rest for dense scratch: one workspace per
-    // concurrent worker, so the workspace allowance caps the thread count.
-    budget.cache_bytes =
-        std::min(config.propagation.cache_bytes,
-                 static_cast<size_t>(budget.budget_bytes / 4));
-    const size_t workspace_bytes =
-        std::max<size_t>(ApproxWorkspaceBytes(engine.propagation_engine().link()), 1);
+  if (PropagationCaches::UsedBy(config.propagation)) {
+    // Dense scratch: one workspace per concurrent worker, so the budget's
+    // workspace allowance caps the thread count.
+    const size_t workspace_bytes = std::max<size_t>(
+        ApproxWorkspaceBytes(engine.propagation_engine().link()), 1);
     const int64_t affordable = static_cast<int64_t>(
-        (static_cast<size_t>(budget.budget_bytes) - budget.cache_bytes) /
-        workspace_bytes);
+        static_cast<size_t>(budget.budget_bytes) / workspace_bytes);
     budget.threads = static_cast<int>(std::clamp<int64_t>(
         affordable, 1, static_cast<int64_t>(budget.threads)));
   }
@@ -74,8 +66,9 @@ Status ResolveShardGroups(const Distinct& engine,
                           obs::ProgressState* progress,
                           std::vector<BulkResolution>* out) {
   // Admission is measured, not just estimated: bytes the tracked
-  // subsystems already hold (engine-level memo entries, arenas from prior
-  // work) count against the budget alongside the group's matrix estimate.
+  // subsystems already hold (arenas and matrices of other work in the
+  // process) count against the budget alongside the group's matrix
+  // estimate.
   if (budget.budget_bytes > 0) {
     const int64_t standing_bytes =
         obs::MemoryTracker::Global().TrackedTotalBytes();
@@ -96,13 +89,11 @@ Status ResolveShardGroups(const Distinct& engine,
     }
   }
 
-  // Shard-local memo and workspace pool: the memo is capped by the budget
-  // carve-out, the pool by the (budget-capped) worker count. Hit/miss and
-  // reuse patterns cannot change values — only speed — so per-shard caches
-  // keep the output identical to any other caller's.
+  // Shard-local workspace pool, capped by the (budget-capped) worker
+  // count. Workspaces are epoch-reset on reuse, so the output is identical
+  // to any other caller's.
   const PropagationCaches caches(engine.propagation_engine().link(),
-                                 engine.config().propagation,
-                                 budget.cache_bytes);
+                                 engine.config().propagation);
   const GroupResolver resolver = engine.resolver(/*for_clustering=*/true);
   std::vector<Status> statuses(indices.size());
   out->assign(indices.size(), BulkResolution{});

@@ -16,9 +16,9 @@
 //
 // Determinism: the plan is a pure function of (groups, num_shards); shard
 // results merge back into the original group order; and the unit is
-// bit-identical across thread counts, cache sizes, and workspace reuse, so
-// the merged output is byte-identical to Distinct::ResolveRefs per group at
-// every shard count and every budget that completes.
+// bit-identical across thread counts and workspace reuse, so the merged
+// output is byte-identical to Distinct::ResolveRefs per group at every
+// shard count and every budget that completes.
 
 #ifndef DISTINCT_CORE_SCAN_SHARD_H_
 #define DISTINCT_CORE_SCAN_SHARD_H_
@@ -67,9 +67,9 @@ struct ShardedScanOptions {
   int num_threads = 1;
   /// Per-shard memory budget in MiB; 0 falls back to
   /// DistinctConfig::scan_memory_mb (and 0 there means unbounded). The
-  /// budget sizes the shard's SubtreeCache, bounds concurrent
-  /// PropagationWorkspaces (capping effective threads), and fails shards
-  /// whose largest group's pair matrices alone would not fit.
+  /// budget bounds concurrent PropagationWorkspaces (capping effective
+  /// threads) and fails shards whose largest group's pair matrices alone
+  /// would not fit.
   int64_t memory_budget_mb = 0;
   /// Directory for per-shard checkpoints; empty disables checkpointing
   /// (and resume).

@@ -16,7 +16,7 @@
 //   # bench    metric            direction  threshold
 //   pair_kernel fused_speedup    higher     0.5
 //   pair_kernel fused_exact      equal      0
-//   propagation memo_speedup_vs_levelwise higher 0.6
+//   propagation workspace_speedup_vs_levelwise higher 0.6
 //
 // direction: higher (current >= baseline*(1-threshold)), lower
 // (current <= baseline*(1+threshold)), equal (relative deviation at most

@@ -40,7 +40,7 @@ class MemoryTracker {
   /// to account for itself.
   enum Component {
     kProfileArena = 0,  // sim/profile_arena.h CSR slabs
-    kSubtreeCache,      // prop/workspace.h memo payload
+    kSubtreeCache,      // prop/workspace.h memo payload (test oracle)
     kPairMatrix,        // cluster/pair_matrix.h cells
     kCheckpoint,        // core/checkpoint.cc serialization buffers
     kIngestDictionary,  // catalog/writer.cc intern tables

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <map>
 #include <mutex>
+#include <vector>
 
 #include "common/io_util.h"
 #include "common/string_util.h"
@@ -75,13 +76,6 @@ std::vector<std::pair<std::string, double>> ComputeDerived(
     AddRate(derived, "profiles.refs_per_sec",
             metrics.CounterValue("prop.profiles_built"), build->sum);
   }
-  const int64_t memo_hits = metrics.CounterValue("prop.memo_hits");
-  const int64_t memo_misses = metrics.CounterValue("prop.memo_misses");
-  if (memo_hits + memo_misses > 0) {
-    derived.emplace_back("prop.memo_hit_rate",
-                         static_cast<double>(memo_hits) /
-                             static_cast<double>(memo_hits + memo_misses));
-  }
   const int64_t busy = metrics.CounterValue("pool.busy_nanos");
   const int64_t idle = metrics.CounterValue("pool.idle_nanos");
   if (busy + idle > 0) {
@@ -119,6 +113,10 @@ RunReport CollectRunReport(std::string label) {
     report.attributes.assign(AttributeMap().begin(), AttributeMap().end());
   }
   report.metrics = MetricsRegistry::Global().Snapshot();
+  // A histogram stays registered across MetricsRegistry::Reset; one with
+  // no sample since then belongs to an earlier run, not this one.
+  std::erase_if(report.metrics.histograms,
+                [](const HistogramSnapshot& h) { return h.count == 0; });
   report.spans = Tracer::Global().Snapshot();
   report.spans_dropped = Tracer::Global().DroppedSpans();
   MemoryTracker::Global().SampleRss();  // refresh the RSS gauge

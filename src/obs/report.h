@@ -67,7 +67,8 @@ struct RunReport {
 void SetRunAttribute(const std::string& key, const std::string& value);
 
 /// Snapshots the global registry and tracer and computes stage summaries
-/// and derived ratios.
+/// and derived ratios. Histograms without a sample since the registry's
+/// last Reset are left out.
 RunReport CollectRunReport(std::string label);
 
 /// Serializes `report` as a single JSON object.

@@ -33,8 +33,7 @@ enum class PropagationAlgorithm {
   /// Authors -> Publish).
   kLevelWise,
   /// Level-wise sweeps over epoch-stamped dense scratch arrays (no
-  /// per-tuple hashing or allocation) with per-path-suffix memoization
-  /// shared across references — see prop/workspace.h. The default.
+  /// per-tuple hashing or allocation) — see prop/workspace.h. The default.
   kWorkspace,
 };
 
@@ -49,9 +48,11 @@ struct PropagationOptions {
   /// identical across algorithms. Guards against pathological fanouts.
   int64_t max_instances = 5'000'000;
 
-  /// Byte budget of the shared subtree memo (kWorkspace only; see
-  /// SubtreeCache). 0 disables memo storage without changing results.
-  size_t cache_bytes = 64ull << 20;
+  /// Byte budget for a SubtreeCache a caller builds as a test oracle
+  /// (kWorkspace only; see prop/workspace.h). No production path builds
+  /// one, so this changes nothing outside tests and benches; results are
+  /// identical at every value.
+  size_t cache_bytes = 0;
 
   /// Prune walks that revisit the origin tuple. Without this, every path of
   /// the form Publish -> Publications -> Publish(origin) -> Authors reaches
@@ -81,9 +82,10 @@ class PropagationEngine {
 
   /// Same, reusing caller-owned dense scratch (kWorkspace only; other
   /// algorithms ignore it). `workspace` must wrap this engine's link graph
-  /// and be used by one thread at a time. `cache`, when non-null, memoizes
-  /// path suffixes under `cache_path_id` (the caller's stable index of
-  /// `path`) and may be shared across threads and workspaces.
+  /// and be used by one thread at a time. `cache`, a test oracle when
+  /// non-null, memoizes path suffixes under `cache_path_id` (the caller's
+  /// stable index of `path`) and may be shared across threads and
+  /// workspaces.
   NeighborProfile Compute(const JoinPath& path, int32_t start_tuple,
                           const PropagationOptions& options,
                           PropagationWorkspace& workspace,

@@ -110,28 +110,6 @@ std::shared_ptr<const SubtreeDistribution> SubtreeCache::Insert(
   return resident;
 }
 
-int64_t SubtreeCache::Erase(int path_id,
-                            const std::vector<int32_t>& tuples) {
-  if (capacity_bytes_ == 0) {
-    return 0;
-  }
-  int64_t erased = 0;
-  for (const int32_t tuple : tuples) {
-    const uint64_t key = Key(path_id, tuple);
-    Shard& shard = ShardOf(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
-      continue;  // never cached, already evicted, or a stale FIFO-only key
-    }
-    shard.bytes -= it->second->ByteSize();
-    TrackCacheBytes(-static_cast<int64_t>(it->second->ByteSize()));
-    shard.map.erase(it);
-    ++erased;
-  }
-  return erased;
-}
-
 SubtreeCacheStats SubtreeCache::stats() const {
   SubtreeCacheStats stats;
   for (const Shard& shard : shards_) {
@@ -201,15 +179,14 @@ void SweepStep(const LinkGraph& link, const JoinStep& step, const Slab& cur,
   }
 }
 
-/// Distribution of the suffix below `junction` from junction tuple
-/// `tuple`: suffix-forward/reverse products per end tuple plus the number
-/// of complete suffix walks. Reference-independent by construction (the
-/// suffix contains no start-node level), hence memoizable.
-SubtreeDistribution ComputeSubtree(const LinkGraph& link,
-                                   const JoinPath& path,
-                                   const std::vector<int>& node_at,
-                                   size_t junction, int32_t tuple,
-                                   PropagationWorkspace& workspace) {
+/// Sweeps the suffix below `junction` from junction tuple `tuple`: the
+/// returned slab (node_at[k], sorted, acquired from `workspace`) holds the
+/// suffix-forward/reverse products and complete-walk counts per end tuple.
+/// Reference-independent by construction (the suffix contains no
+/// start-node level). The caller releases the slab.
+Slab& SweepSubtree(const LinkGraph& link, const JoinPath& path,
+                   const std::vector<int>& node_at, size_t junction,
+                   int32_t tuple, PropagationWorkspace& workspace) {
   const size_t k = path.steps.size();
   Slab* cur = &workspace.Acquire(node_at[junction + 1]);
   {
@@ -232,14 +209,24 @@ SubtreeDistribution ComputeSubtree(const LinkGraph& link,
     cur = next;
   }
   cur->SortTouched();
+  return *cur;
+}
+
+/// The suffix distribution of SweepSubtree as a memo value.
+SubtreeDistribution ComputeSubtree(const LinkGraph& link,
+                                   const JoinPath& path,
+                                   const std::vector<int>& node_at,
+                                   size_t junction, int32_t tuple,
+                                   PropagationWorkspace& workspace) {
+  Slab& suffix = SweepSubtree(link, path, node_at, junction, tuple, workspace);
   SubtreeDistribution dist;
-  dist.entries.reserve(cur->touched().size());
-  for (const int32_t e : cur->touched()) {
+  dist.entries.reserve(suffix.touched().size());
+  for (const int32_t e : suffix.touched()) {
     dist.entries.push_back(
-        SubtreeEntry{e, cur->forward(e), cur->reverse(e)});
-    dist.instances += cur->count(e);
+        SubtreeEntry{e, suffix.forward(e), suffix.reverse(e)});
+    dist.instances += suffix.count(e);
   }
-  workspace.Release(*cur);
+  workspace.Release(suffix);
   return dist;
 }
 
@@ -281,28 +268,36 @@ std::optional<NeighborProfile> PropagateDense(
     }
     workspace.Release(*cur);
   } else {
-    // Shared suffix: merge each junction tuple's memoized distribution in
-    // ascending tuple order. A miss computes exactly what a hit returns,
-    // so the result is independent of the hit/miss pattern.
+    // Shared suffix: merge each junction tuple's suffix distribution in
+    // ascending tuple order. Without a memo it is merged straight from the
+    // sweep's slab; with one (a test oracle), a hit returns exactly the
+    // entries a miss recomputes, so the floating-point sequence — and the
+    // profile — is the same either way.
+    const bool memo = cache != nullptr && cache->capacity_bytes() > 0;
     Slab* out = &workspace.Acquire(node_at[k]);
     for (const int32_t t : cur->touched()) {
-      std::shared_ptr<const SubtreeDistribution> memo =
-          cache != nullptr ? cache->Find(cache_path_id, t) : nullptr;
-      SubtreeDistribution local;
-      const SubtreeDistribution* dist;
-      if (memo != nullptr) {
-        dist = memo.get();
-      } else {
-        local = ComputeSubtree(link, path, node_at, junction, t, workspace);
-        if (cache != nullptr) {
-          memo = cache->Insert(cache_path_id, t, std::move(local));
-          dist = memo.get();
-        } else {
-          dist = &local;
-        }
-      }
       const double forward = cur->forward(t);
       const double reverse = cur->reverse(t);
+      if (!memo) {
+        Slab& suffix =
+            SweepSubtree(link, path, node_at, junction, t, workspace);
+        double instances = 0.0;
+        for (const int32_t e : suffix.touched()) {
+          out->Add(e, forward * suffix.forward(e), reverse * suffix.reverse(e),
+                   0.0);
+          instances += suffix.count(e);
+        }
+        workspace.Release(suffix);
+        total_instances += cur->count(t) * instances;
+        continue;
+      }
+      std::shared_ptr<const SubtreeDistribution> dist =
+          cache->Find(cache_path_id, t);
+      if (dist == nullptr) {
+        dist = cache->Insert(
+            cache_path_id, t,
+            ComputeSubtree(link, path, node_at, junction, t, workspace));
+      }
       for (const SubtreeEntry& entry : dist->entries) {
         out->Add(entry.tuple, forward * entry.forward,
                  reverse * entry.reverse, 0.0);

@@ -1,33 +1,31 @@
-// Dense scratch-space propagation with shared subtree memoization — the
-// PropagationAlgorithm::kWorkspace engine.
+// Dense scratch-space propagation — the PropagationAlgorithm::kWorkspace
+// engine.
 //
 // The DFS and level-wise engines in propagation.cc push every tuple through
-// per-level unordered_maps and re-walk identical subtrees for every
-// reference (all co-authors of one paper traverse the same
-// Paper -> Conference subtree once per reference). This layer removes both
-// costs:
+// per-level unordered_maps. PropagationWorkspace removes that cost: it owns
+// reusable dense slabs — per schema node, forward/reverse/instance-count
+// arrays sized by LinkGraph::NumTuples with an epoch stamp per slot.
+// "Clearing" a slab for the next level or the next reference is a single
+// epoch bump, so the steady-state inner loops are index arithmetic over CSR
+// spans with zero allocation or hashing. A workspace belongs to one thread
+// at a time and is recycled across references.
 //
-//  * PropagationWorkspace owns reusable dense slabs — per schema node,
-//    forward/reverse/instance-count arrays sized by LinkGraph::NumTuples
-//    with an epoch stamp per slot. "Clearing" a slab for the next level or
-//    the next reference is a single epoch bump, so the steady-state inner
-//    loops are index arithmetic over CSR spans with zero allocation or
-//    hashing. A workspace belongs to one thread at a time and is recycled
-//    across references.
+// Each propagation sweeps the reference-dependent prefix down to the
+// path's junction level (SubtreeJunctionLevel), then, per junction tuple in
+// ascending order, sweeps the reference-independent suffix below it and
+// merges that suffix straight from its slab into the output.
 //
-//  * SubtreeCache memoizes, per join path, the distribution emanating from
-//    a junction tuple down the path's suffix. The suffix below the junction
-//    level (see SubtreeJunctionLevel) contains no level whose schema node
-//    is the start node, so origin exclusion cannot prune inside it and the
-//    distribution is independent of the reference being propagated — it is
-//    computed once per name-resolution run and shared across references
-//    and worker threads. The cache is size-bounded with per-shard FIFO
-//    eviction and safe for concurrent use.
+// SubtreeCache memoizes those suffix distributions per (path, junction
+// tuple). It is a test oracle, not a production mechanism: on real scans
+// its hit rate is a few percent and its bookkeeping made propagation
+// slower, so no production caller passes one. Tests and benches use it to
+// pin that a memo hit, a miss and the memo-less sweep all yield the same
+// profile.
 //
 // Determinism: every sweep iterates frontiers in ascending tuple id and
-// merges memoized suffixes in ascending junction-tuple order, and a cache
-// hit returns exactly the value a miss would recompute, so profiles are
-// bit-identical regardless of cache capacity, hit/miss pattern, or thread
+// merges suffixes in ascending junction-tuple order, and a memo hit returns
+// exactly the entries the memo-less sweep merges, so profiles are
+// bit-identical regardless of memo capacity, hit/miss pattern, or thread
 // count.
 
 #ifndef DISTINCT_PROP_WORKSPACE_H_
@@ -167,14 +165,14 @@ struct SubtreeCacheStats {
 };
 
 /// Size-bounded concurrent memo of subtree distributions, keyed by
-/// (path id, junction tuple). Sharded: lookups touch one mutex; values are
-/// shared_ptrs so an entry being merged from stays alive across eviction.
-/// Also feeds the prop.memo_* counters of the global MetricsRegistry.
+/// (path id, junction tuple) — the test oracle described above. Sharded:
+/// lookups touch one mutex; values are shared_ptrs so an entry being merged
+/// from stays alive across eviction. Also feeds the prop.memo_* counters of
+/// the global MetricsRegistry.
 class SubtreeCache {
  public:
-  /// `capacity_bytes` bounds resident entry payload; 0 disables storage
-  /// entirely (every lookup misses, inserts are dropped) while keeping
-  /// results bit-identical.
+  /// `capacity_bytes` bounds resident entry payload; PropagateDense treats
+  /// a capacity-0 memo like none at all.
   explicit SubtreeCache(size_t capacity_bytes);
 
   /// Releases the resident payload from the kSubtreeCache byte gauge.
@@ -191,12 +189,6 @@ class SubtreeCache {
   std::shared_ptr<const SubtreeDistribution> Insert(int path_id,
                                                     int32_t tuple,
                                                     SubtreeDistribution dist);
-
-  /// Drops the entries of `path_id` keyed by `tuples` (the delta path's
-  /// targeted invalidation: only suffixes touching changed tuples go).
-  /// Returns how many entries were resident and removed. Stale FIFO keys
-  /// are left behind; Insert's eviction loop tolerates missing victims.
-  int64_t Erase(int path_id, const std::vector<int32_t>& tuples);
 
   SubtreeCacheStats stats() const;
 
@@ -241,16 +233,17 @@ size_t ApproxWorkspaceBytes(const LinkGraph& link);
 /// exclusion, walks can be pruned at every level whose schema node is the
 /// start node, so the junction is the deepest such level (the suffix below
 /// it is reference-independent); without one — and always when exclusion is
-/// off — it is level 1, maximizing suffix sharing. Equal to path length
-/// when the path ends at a start-node level (no memoizable suffix).
+/// off — it is level 1. Equal to path length when the path ends at a
+/// start-node level (no suffix).
 size_t SubtreeJunctionLevel(const JoinPath& path,
                             const std::vector<int>& node_at,
                             bool exclude_start_tuple);
 
 /// Dense-scratch propagation (the kWorkspace engine). `node_at` holds the
-/// schema node of every level (size path.steps.size() + 1). Memoizes path
-/// suffixes through `cache` when non-null, keyed by `cache_path_id` (the
-/// caller's stable index of `path`; pass 0 when cache is null). Returns
+/// schema node of every level (size path.steps.size() + 1). A null or
+/// capacity-0 `cache` merges every suffix straight from its sweep (the
+/// production path); otherwise suffixes are memoized through `cache`, keyed
+/// by `cache_path_id` (the caller's stable index of `path`). Returns
 /// nullopt when the number of complete path instances exceeds
 /// options.max_instances — the caller falls back to the depth-first engine
 /// so truncation semantics stay identical across algorithms.

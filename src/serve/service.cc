@@ -55,8 +55,7 @@ ServeService::ServeService(const Distinct& engine, ServiceOptions options)
   pool_ = std::make_unique<ThreadPool>(threads);
   // The warm state a scan shard builds, pinned for the server's lifetime.
   caches_ = PropagationCaches(engine.propagation_engine().link(),
-                              engine.config().propagation,
-                              engine.config().propagation.cache_bytes);
+                              engine.config().propagation);
   if (options_.progress != nullptr) {
     progress_ = options_.progress;
   }
@@ -296,9 +295,9 @@ StatusOr<std::shared_ptr<const ResolveAnswer>> ServeService::ComputeAnswer(
   if (deadline != std::chrono::steady_clock::time_point::max()) {
     token.emplace(deadline);
   }
-  // The batch unit over the shared warm state: memo hits return precisely
-  // what misses would compute, so the answer is bit-identical to a cold
-  // batch run. A fired deadline discards the partial matrices unclustered.
+  // The batch unit over the shared warm state: workspaces are epoch-reset
+  // on reuse, so the answer is bit-identical to a cold batch run. A fired
+  // deadline discards the partial matrices unclustered.
   WarmState warm = caches_.Warm(pool_.get());
   warm.cancel = token.has_value() ? &*token : nullptr;
   auto artifacts =

@@ -3,11 +3,10 @@
 // and the tests all drive this layer directly.
 //
 // A ServeService wraps one trained, immutable Distinct engine and pins the
-// warm state a batch scan builds per run: a scan-wide SubtreeCache (suffix
-// distributions computed for one name are hits for every later name that
-// reaches the same junction tuples), a WorkspacePool capping dense scratch
-// at one workspace per concurrent worker, and one kernel ThreadPool. On
-// top of the warm state it layers the three serving mechanisms:
+// warm state a batch scan builds per run: a WorkspacePool capping dense
+// scratch at one workspace per concurrent worker, and one kernel
+// ThreadPool. On top of the warm state it layers the three serving
+// mechanisms:
 //
 //  - Request batching (single-flight): concurrent queries for the same
 //    name coalesce onto one kernel invocation — the first caller computes,
@@ -29,8 +28,8 @@
 //
 // Answers are bit-identical to the batch path: the executor is the same
 // per-group unit (core/group_resolve.h) as Distinct::ResolveRefs and the
-// bulk scan, sharing the memo exactly like a scan shard — memo hits return
-// what misses would compute, so warmth never changes a result.
+// bulk scan, recycling workspaces exactly like a scan shard — warmth never
+// changes a result.
 
 #ifndef DISTINCT_SERVE_SERVICE_H_
 #define DISTINCT_SERVE_SERVICE_H_

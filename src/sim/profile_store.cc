@@ -63,12 +63,6 @@ ProfileStore ProfileStore::Build(const PropagationEngine& engine,
   WorkspacePool local_workspaces(engine.link());
   WorkspacePool& workspaces =
       shared_workspaces != nullptr ? *shared_workspaces : local_workspaces;
-  std::unique_ptr<SubtreeCache> owned_cache;
-  SubtreeCache* cache = shared_cache;
-  if (dense && cache == nullptr) {
-    owned_cache = std::make_unique<SubtreeCache>(options.cache_bytes);
-    cache = owned_cache.get();
-  }
 
   const auto compute_one = [&](int64_t i) {
     std::unique_ptr<PropagationWorkspace> workspace;
@@ -80,7 +74,7 @@ ProfileStore ProfileStore::Build(const PropagationEngine& engine,
     for (size_t p = 0; p < paths.size(); ++p) {
       if (dense) {
         profiles.push_back(engine.Compute(paths[p], store.refs_[i], options,
-                                          *workspace, cache,
+                                          *workspace, shared_cache,
                                           static_cast<int>(p)));
       } else {
         profiles.push_back(engine.Compute(paths[p], store.refs_[i], options));
@@ -142,12 +136,6 @@ void ProfileStore::Update(const PropagationEngine& engine,
   WorkspacePool local_workspaces(engine.link());
   WorkspacePool& workspaces =
       shared_workspaces != nullptr ? *shared_workspaces : local_workspaces;
-  std::unique_ptr<SubtreeCache> owned_cache;
-  SubtreeCache* cache = shared_cache;
-  if (dense && cache == nullptr) {
-    owned_cache = std::make_unique<SubtreeCache>(options.cache_bytes);
-    cache = owned_cache.get();
-  }
 
   // The exact per-reference loop of Build(); only the work list differs.
   // A position's path mask (when masks are given) limits the recompute to
@@ -173,7 +161,8 @@ void ProfileStore::Update(const PropagationEngine& engine,
       }
       if (dense) {
         profiles[p] = engine.Compute(paths[p], refs_[position], options,
-                                     *workspace, cache, static_cast<int>(p));
+                                     *workspace, shared_cache,
+                                     static_cast<int>(p));
       } else {
         profiles[p] = engine.Compute(paths[p], refs_[position], options);
       }

@@ -67,13 +67,14 @@ class ProfileStore {
   ///
   /// With PropagationAlgorithm::kWorkspace, each worker checks a
   /// PropagationWorkspace out of a free-list (dense scratch is recycled
-  /// across references, never shared between concurrent workers) and all
-  /// workers share one SubtreeCache: `shared_cache` when non-null —
-  /// letting a caller reuse the memo across many Build() calls over the
-  /// same link graph — else a Build-local cache of options.cache_bytes.
+  /// across references, never shared between concurrent workers).
   /// `shared_workspaces` (optional, must be over the same link graph)
-  /// likewise recycles dense scratch across Build() calls; workspaces are
+  /// recycles dense scratch across Build() calls; workspaces are
   /// epoch-reset on reuse, so sharing cannot change results.
+  /// `shared_cache` is the test-oracle subtree memo (prop/workspace.h):
+  /// when non-null every worker memoizes path suffixes through it; null —
+  /// every production caller — propagates without one. Results are the
+  /// same either way.
   static ProfileStore Build(const PropagationEngine& engine,
                             const std::vector<JoinPath>& paths,
                             const PropagationOptions& options,

@@ -13,7 +13,6 @@
 #include "dblp/generator.h"
 #include "dblp/schema.h"
 #include "prop/link_graph.h"
-#include "prop/workspace.h"
 #include "sim/profile_arena.h"
 #include "sim/profile_store.h"
 
@@ -425,7 +424,7 @@ TEST_F(DeltaTest, SequentialDeltasCompose) {
 
 // Exercised by the TSan job (this binary carries the `parallel` label):
 // the incremental path with a worker pool — profile builds fan out over
-// shared memo + workspaces — must produce the same bits as the serial
+// shared workspaces — must produce the same bits as the serial
 // batch rebuild.
 TEST_F(DeltaTest, ParallelIncrementalMatchesSerialBatchRebuild) {
   auto split = MakeTailDelta(dataset_->db, kPublishTable, 40);
@@ -585,36 +584,6 @@ TEST_F(DeltaTest, CleanNameProfilesSurviveTheDeltaVerbatim) {
   ExpectSameProfiles(store, ProfileStore::Build(engine->propagation_engine(),
                                                 engine->paths(), options,
                                                 *refs));
-}
-
-// --- SubtreeCache targeted invalidation.
-
-TEST(SubtreeCacheEraseTest, DropsOnlyTheTargetedEntries) {
-  SubtreeCache cache(1 << 20);
-  SubtreeDistribution dist;
-  dist.entries = {{7, 0.5, 0.25}};
-  dist.instances = 1.0;
-  cache.Insert(0, 11, dist);
-  cache.Insert(0, 12, dist);
-  cache.Insert(3, 11, dist);
-
-  EXPECT_EQ(cache.Erase(0, {11, 99}), 1);  // 99 was never resident
-  EXPECT_EQ(cache.Find(0, 11), nullptr);
-  EXPECT_NE(cache.Find(0, 12), nullptr);   // same path, different tuple
-  EXPECT_NE(cache.Find(3, 11), nullptr);   // same tuple, different path
-  EXPECT_EQ(cache.stats().entries, 2);
-  // Erase is idempotent, and re-inserting after an erase works (the stale
-  // FIFO key left behind must not corrupt eviction bookkeeping).
-  EXPECT_EQ(cache.Erase(0, {11}), 0);
-  cache.Insert(0, 11, dist);
-  EXPECT_NE(cache.Find(0, 11), nullptr);
-}
-
-TEST(SubtreeCacheEraseTest, DisabledCacheErasesNothing) {
-  SubtreeCache cache(0);
-  SubtreeDistribution dist;
-  cache.Insert(0, 1, dist);
-  EXPECT_EQ(cache.Erase(0, {1}), 0);
 }
 
 }  // namespace

@@ -107,15 +107,10 @@ class ShardedScanTest : public ::testing::Test {
     DISTINCT_CHECK(groups->size() > 4);
     groups_ = new std::vector<NameGroup>(*std::move(groups));
 
-    // The reference: every group through Distinct::ResolveRefs, on a
-    // second engine that is gone before any test runs — its warm memo
-    // would otherwise count against the budgeted scans' admission.
+    // The reference: every group through Distinct::ResolveRefs.
     baseline_ = new std::vector<BulkResolution>();
-    auto reference =
-        Distinct::Create(dataset_->db, DblpReferenceSpec(), config);
-    DISTINCT_CHECK(reference.ok());
     for (const NameGroup& group : *groups_) {
-      auto clustering = reference->ResolveRefs(group.refs);
+      auto clustering = engine_->ResolveRefs(group.refs);
       DISTINCT_CHECK(clustering.ok());
       baseline_->push_back(BulkResolution{group.name, group.refs.size(),
                                           *std::move(clustering)});

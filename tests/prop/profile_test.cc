@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace distinct {
 namespace {
 
@@ -11,6 +13,21 @@ TEST(NeighborProfileTest, SortsEntriesByTuple) {
   EXPECT_EQ(profile.entries()[0].tuple, 1);
   EXPECT_EQ(profile.entries()[1].tuple, 3);
   EXPECT_EQ(profile.entries()[2].tuple, 5);
+  // Each entry keeps its own probabilities through the sort.
+  EXPECT_EQ(profile.entries()[0].forward, 0.3);
+  EXPECT_EQ(profile.entries()[2].reverse, 0.1);
+}
+
+TEST(NeighborProfileTest, AscendingInputIsKeptAsIs) {
+  const std::vector<ProfileEntry> ascending = {
+      {2, 0.5, 0.25}, {4, 0.125, 1.0}, {9, 0.375, 0.5}};
+  NeighborProfile profile(ascending);
+  ASSERT_EQ(profile.size(), ascending.size());
+  for (size_t i = 0; i < ascending.size(); ++i) {
+    EXPECT_EQ(profile.entries()[i].tuple, ascending[i].tuple);
+    EXPECT_EQ(profile.entries()[i].forward, ascending[i].forward);
+    EXPECT_EQ(profile.entries()[i].reverse, ascending[i].reverse);
+  }
 }
 
 TEST(NeighborProfileTest, ForwardSum) {

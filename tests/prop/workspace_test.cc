@@ -1,7 +1,7 @@
-// The dense workspace/memo engine must agree with the depth-first and
-// level-wise references on every path, tuple, and option combination — and
-// be bit-identical to itself across cache capacities, hit/miss patterns,
-// and thread counts.
+// The dense workspace engine must agree with the depth-first and level-wise
+// references on every path, tuple, and option combination — and its
+// memo-less production path must be bit-identical to the test-oracle
+// subtree memo at every capacity, hit/miss pattern, and thread count.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,8 @@
 #include "dblp/generator.h"
 #include "prop/propagation.h"
 #include "prop/workspace.h"
+#include "sim/parallel_kernel.h"
+#include "sim/profile_arena.h"
 #include "sim/profile_store.h"
 
 namespace distinct {
@@ -146,22 +148,21 @@ TEST(WorkspaceDeterminismTest, BitIdenticalAcrossCacheSizesAndThreads) {
   PropagationEngine engine(*world.link);
   PropagationOptions options;  // default algorithm: kWorkspace
 
-  // Reference run: serial, no memo storage.
-  options.cache_bytes = 0;
+  // Reference run: serial, no memo — the production path.
   const ProfileStore reference = ProfileStore::Build(
       engine, world.paths, options, world.refs);
 
   for (const size_t cache_bytes :
        {size_t{0}, size_t{4096}, size_t{64} << 20}) {
     for (const int threads : {1, 2, 8}) {
-      options.cache_bytes = cache_bytes;
+      SubtreeCache memo(cache_bytes);
       std::unique_ptr<ThreadPool> pool;
       if (threads > 1) {
         pool = std::make_unique<ThreadPool>(threads);
       }
       const ProfileStore store = ProfileStore::Build(
           engine, world.paths, options, world.refs, pool.get(),
-          /*min_parallel_refs=*/1);
+          /*min_parallel_refs=*/1, &memo);
       ASSERT_EQ(store.num_refs(), reference.num_refs());
       for (size_t i = 0; i < store.num_refs(); ++i) {
         for (size_t p = 0; p < world.paths.size(); ++p) {
@@ -286,8 +287,8 @@ TEST(SubtreeJunctionLevelTest, PicksDeepestOriginLevelUnderExclusion) {
   EXPECT_EQ(SubtreeJunctionLevel(path, none, false), 1u);
 }
 
-/// The tentpole's end-to-end guarantee: identical clustering with the memo
-/// on vs. off, serial and parallel.
+/// End to end: the production engine (no memo) clusters exactly like the
+/// unit's steps run over a 64 MiB oracle memo, serial and parallel.
 TEST(WorkspaceEndToEndTest, ClusteringIdenticalCacheOnOffAcrossThreads) {
   GeneratorConfig generator;
   generator.seed = 29;
@@ -298,26 +299,44 @@ TEST(WorkspaceEndToEndTest, ClusteringIdenticalCacheOnOffAcrossThreads) {
   ASSERT_TRUE(dataset.ok());
 
   std::vector<int> reference_assignment;
-  for (const int cache_mb : {0, 64}) {
-    for (const int threads : {1, 8}) {
-      DistinctConfig config;
-      config.supervised = false;
-      config.promotions = DblpDefaultPromotions();
-      config.propagation.cache_bytes = static_cast<size_t>(cache_mb) << 20;
-      config.num_threads = threads;
-      auto engine =
-          Distinct::Create(dataset->db, DblpReferenceSpec(), config);
-      ASSERT_TRUE(engine.ok());
-      auto result = engine->ResolveName("Wei Wang");
-      ASSERT_TRUE(result.ok());
-      if (reference_assignment.empty()) {
-        reference_assignment = result->clustering.assignment;
-        ASSERT_FALSE(reference_assignment.empty());
-      } else {
-        EXPECT_EQ(result->clustering.assignment, reference_assignment)
-            << "cache_mb=" << cache_mb << " threads=" << threads;
-      }
+  for (const int threads : {1, 8}) {
+    DistinctConfig config;
+    config.supervised = false;
+    config.promotions = DblpDefaultPromotions();
+    config.num_threads = threads;
+    auto engine = Distinct::Create(dataset->db, DblpReferenceSpec(), config);
+    ASSERT_TRUE(engine.ok());
+    auto result = engine->ResolveName("Wei Wang");
+    ASSERT_TRUE(result.ok());
+    if (reference_assignment.empty()) {
+      reference_assignment = result->clustering.assignment;
+      ASSERT_FALSE(reference_assignment.empty());
+    } else {
+      EXPECT_EQ(result->clustering.assignment, reference_assignment)
+          << "threads=" << threads;
     }
+
+    auto refs = engine->RefsForName("Wei Wang");
+    ASSERT_TRUE(refs.ok());
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) {
+      pool = std::make_unique<ThreadPool>(threads);
+    }
+    SubtreeCache memo(size_t{64} << 20);
+    const ProfileStore store = ProfileStore::Build(
+        engine->propagation_engine(), engine->paths(),
+        engine->config().propagation, *refs, pool.get(),
+        ProfileStore::kMinParallelRefs, &memo);
+    EXPECT_GT(memo.stats().entries, 0);
+    const ProfileArena arena = ProfileArena::FromStore(store);
+    const auto matrices = ComputePairMatrices(
+        store, arena, engine->model(), pool.get(),
+        engine->kernel_options(/*for_clustering=*/true));
+    EXPECT_EQ(ClusterReferences(matrices.first, matrices.second,
+                                engine->cluster_options())
+                  .assignment,
+              reference_assignment)
+        << "memo on, threads=" << threads;
   }
 }
 

@@ -190,7 +190,7 @@ TEST(ServeServiceTest, ConcurrentDistinctNamesAllMatchBatch) {
   options.result_cache_entries = 0;
   ServeService service(engine, options);
   // Every published author in the mini database, resolved concurrently
-  // over the shared memo/pool, must equal its batch answer. (Aidong Zhang
+  // over the shared workspaces/pool, must equal its batch answer. (Aidong Zhang
   // has no publish rows, hence no references to resolve.)
   const std::vector<std::string> names = {"Wei Wang", "Jiong Yang",
                                           "Jian Pei", "Haixun Wang"};
