@@ -9,8 +9,20 @@
 // mass-bound prune (must leave the clustering at the prune floor
 // unchanged). The serial fill is measured so the row ratio is the kernel
 // speedup itself, not a parallelization artifact.
+//
+// Timing: every row first runs one untimed warm-up fill (whose matrices the
+// exactness checks read), then `--repeat` rounds each run every row once
+// in turn, so host-load drift lands on all rows alike. A row's time is its
+// median over the rounds; its speedup is the median of the per-round
+// ratios reference/row, and `<row>_spread` records (max − min) / median of
+// those ratios so a noisy run is visible in BENCH_pair_kernel.json.
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "cluster/agglomerative.h"
@@ -39,6 +51,22 @@ bool MatricesEqual(const std::pair<PairMatrix, PairMatrix>& a,
   return true;
 }
 
+double Median(std::vector<double> values) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : 0.5 * (values[mid - 1] + values[mid]);
+}
+
+/// (max − min) / median: how far apart a row's repeats landed.
+double RelativeSpread(const std::vector<double>& values) {
+  const double median = Median(values);
+  if (values.empty() || median <= 0.0) return 0.0;
+  const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+  return (*hi - *lo) / median;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -52,7 +80,9 @@ int main(int argc, char** argv) {
   flags.AddInt64("entities", 32,
                  "distinct people behind the mega-name; more entities -> "
                  "sparser pair overlap");
-  flags.AddInt64("repeat", 3, "timed repetitions per row");
+  flags.AddInt64("repeat", 5,
+                 "timed rounds (each runs every row once, after one warm-up "
+                 "fill per row); rows report the median");
   flags.AddDouble("prune-min-sim", 0.25,
                   "merge floor of the fused+prune row (sits inside the "
                   "mass-bound range on this workload so the prune visibly "
@@ -92,82 +122,120 @@ int main(int argc, char** argv) {
       ProfileStore::Build(engine.propagation_engine(), engine.paths(),
                           engine.config().propagation, *refs);
   const ProfileArena arena = ProfileArena::FromStore(store);
-  const CandidateSet candidates = CandidateSet::Build(arena);
+  const CandidateSet candidates =
+      CandidateSet::Build(arena, LivePaths(engine.model()));
+  int64_t path_joins = 0;
+  for (size_t i = 1; i < n; ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      const PathMask mask = candidates.mask(i, j);
+      path_joins += std::popcount(mask & ~(PathMask{1}
+                                           << CandidateSet::kOverflowBit));
+      if ((mask >> CandidateSet::kOverflowBit) != 0) {
+        path_joins += static_cast<int64_t>(candidates.live_paths().size()) -
+                      CandidateSet::kOverflowBit;
+      }
+    }
+  }
+  const int64_t path_slices =
+      total_pairs * static_cast<int64_t>(engine.paths().size());
   std::printf("mega-name 'Wei Wang': %zu references over %lld entities, "
-              "%zu join paths\n",
+              "%zu join paths (%zu live)\n",
               n, static_cast<long long>(flags.GetInt64("entities")),
-              engine.paths().size());
-  std::printf("candidate pairs: %lld of %lld (%.1f%%)\n\n",
+              engine.paths().size(), candidates.live_paths().size());
+  std::printf("candidate pairs: %lld of %lld (%.1f%%); path joins: %lld of "
+              "%lld (pair, path) slices (%.1f%%)\n\n",
               static_cast<long long>(candidates.count()),
               static_cast<long long>(total_pairs),
               total_pairs > 0
                   ? 100.0 * static_cast<double>(candidates.count()) /
                         static_cast<double>(total_pairs)
-                  : 0.0);
+                  : 0.0,
+              static_cast<long long>(path_joins),
+              static_cast<long long>(path_slices),
+              path_slices > 0 ? 100.0 * static_cast<double>(path_joins) /
+                                    static_cast<double>(path_slices)
+                              : 0.0);
 
   const int repeat = MustIntInRange(flags, "repeat", 1, 1 << 20);
   const double prune_min_sim = flags.GetDouble("prune-min-sim");
 
-  auto time_fill = [&](const PairKernelOptions& options,
-                       std::pair<PairMatrix, PairMatrix>* out) {
-    double seconds = 0.0;
-    for (int r = 0; r < repeat; ++r) {
-      Stopwatch watch;
-      auto matrices =
-          ComputePairMatrices(store, engine.model(), nullptr, options);
-      seconds += watch.Seconds();
-      *out = std::move(matrices);
-    }
-    return seconds / repeat;
-  };
-
-  PairKernelOptions reference_options;
-  reference_options.kernel = PairKernelType::kReference;
-  std::pair<PairMatrix, PairMatrix> reference(PairMatrix(0), PairMatrix(0));
-  const double reference_s = time_fill(reference_options, &reference);
-
-  // One row per merge-join ISA, candidate generation pinned to the sparse
-  // grouped path so the rows differ only in the join itself.
-  struct VariantRow {
-    const char* name;
-    KernelIsa isa;
-    double seconds = 0.0;
+  // One row per timed configuration. Rows 1-3 pin one merge-join ISA with
+  // candidate generation pinned to the sparse grouped machine, so they
+  // differ only in the join itself; the bitset row forces the word-parallel
+  // candidate machine (auto ISA); the defaults row is the production fill.
+  struct Row {
+    std::string name;
+    PairKernelOptions options;
+    std::pair<PairMatrix, PairMatrix> out{PairMatrix(0), PairMatrix(0)};
+    std::vector<double> seconds;
+    std::vector<double> speedups;  // per round, reference / this row
+    double median_s = 0.0;
+    double speedup = 0.0;
     bool exact = false;
   };
-  VariantRow variants[] = {{"fused[scalar]", KernelIsa::kScalar},
-                           {"fused[gallop]", KernelIsa::kGallop},
-                           {"fused[avx2]", KernelIsa::kAvx2}};
-  for (VariantRow& row : variants) {
-    PairKernelOptions options;
-    options.kernel = PairKernelType::kFused;
-    options.isa = row.isa;
-    options.candidates.bitset_min_refs = 1 << 30;  // force the sparse path
-    std::pair<PairMatrix, PairMatrix> out(PairMatrix(0), PairMatrix(0));
-    row.seconds = time_fill(options, &out);
-    row.exact = MatricesEqual(out, reference);
+  std::vector<Row> rows;
+  auto add_row = [&](std::string name,
+                     const std::function<void(PairKernelOptions&)>& setup) {
+    Row row;
+    row.name = std::move(name);
+    row.options.kernel = PairKernelType::kFused;
+    setup(row.options);
+    rows.push_back(std::move(row));
+  };
+  add_row("reference", [](PairKernelOptions& o) {
+    o.kernel = PairKernelType::kReference;
+  });
+  const struct {
+    const char* name;
+    KernelIsa isa;
+  } isas[] = {{"fused[scalar]", KernelIsa::kScalar},
+              {"fused[gallop]", KernelIsa::kGallop},
+              {"fused[avx2]", KernelIsa::kAvx2}};
+  for (const auto& isa : isas) {
+    add_row(isa.name, [&](PairKernelOptions& o) {
+      o.isa = isa.isa;
+      o.candidates.bitset_min_refs = 1 << 30;  // force the sparse path
+    });
   }
+  add_row("fused[bitset-cand]", [](PairKernelOptions& o) {
+    o.candidates.bitset_min_refs = 0;
+    o.candidates.bitset_cost_factor = 0.0;
+  });
+  add_row(StrFormat("fused[auto=%s]",
+                    KernelIsaName(ResolveKernelIsa(KernelIsa::kAuto))),
+          [](PairKernelOptions&) {});
+  add_row(StrFormat("fused+prune@%.2f", prune_min_sim),
+          [&](PairKernelOptions& o) {
+            o.pruning = true;
+            o.prune_min_sim = prune_min_sim;
+          });
+  enum { kReferenceRow = 0, kBitsetRow = 4, kFusedRow = 5, kPruneRow = 6 };
 
-  // Bitset candidate generation forced on (auto ISA): same bits, built
-  // word-parallel.
-  PairKernelOptions bitset_options;
-  bitset_options.kernel = PairKernelType::kFused;
-  bitset_options.candidates.bitset_min_refs = 0;
-  bitset_options.candidates.bitset_cost_factor = 0.0;
-  std::pair<PairMatrix, PairMatrix> bitset(PairMatrix(0), PairMatrix(0));
-  const double bitset_s = time_fill(bitset_options, &bitset);
-  const bool bitset_exact = MatricesEqual(bitset, reference);
-
-  PairKernelOptions fused_options;
-  fused_options.kernel = PairKernelType::kFused;
-  std::pair<PairMatrix, PairMatrix> fused(PairMatrix(0), PairMatrix(0));
-  const double fused_s = time_fill(fused_options, &fused);
-  const bool fused_exact = MatricesEqual(fused, reference);
-
-  PairKernelOptions prune_options = fused_options;
-  prune_options.pruning = true;
-  prune_options.prune_min_sim = prune_min_sim;
-  std::pair<PairMatrix, PairMatrix> pruned(PairMatrix(0), PairMatrix(0));
-  const double prune_s = time_fill(prune_options, &pruned);
+  for (Row& row : rows) {  // warm-up; its matrices feed the checks
+    row.out = ComputePairMatrices(store, engine.model(), nullptr, row.options);
+  }
+  for (int r = 0; r < repeat; ++r) {
+    for (Row& row : rows) {
+      Stopwatch watch;
+      auto matrices =
+          ComputePairMatrices(store, engine.model(), nullptr, row.options);
+      row.seconds.push_back(watch.Seconds());
+    }
+    const double reference_round = rows[kReferenceRow].seconds.back();
+    for (Row& row : rows) {
+      row.speedups.push_back(row.seconds.back() > 0
+                                 ? reference_round / row.seconds.back()
+                                 : 0.0);
+    }
+  }
+  for (Row& row : rows) {
+    row.median_s = Median(row.seconds);
+    row.speedup = Median(row.speedups);
+    row.exact = MatricesEqual(row.out, rows[kReferenceRow].out);
+  }
+  const std::pair<PairMatrix, PairMatrix>& reference =
+      rows[kReferenceRow].out;
+  const std::pair<PairMatrix, PairMatrix>& pruned = rows[kPruneRow].out;
 
   // The prune contract: dropped cells read 0.0, and clustering at the
   // prune floor is unchanged.
@@ -193,29 +261,25 @@ int main(int argc, char** argv) {
   const bool prune_clusters_ok =
       exact_clusters.assignment == pruned_clusters.assignment;
 
-  TextTable table({"kernel", "matrix (s)", "speedup", "exact", "pruned"});
-  for (size_t c = 1; c <= 4; ++c) table.SetRightAlign(c);
-  table.AddRow({"reference", Fmt3(reference_s), "1.00", "-", "-"});
-  for (const VariantRow& row : variants) {
-    table.AddRow(
-        {row.name, Fmt3(row.seconds),
-         StrFormat("%.2f",
-                   row.seconds > 0 ? reference_s / row.seconds : 0.0),
-         row.exact ? "yes" : "NO", "0"});
+  TextTable table(
+      {"kernel", "matrix (s)", "speedup", "spread", "exact", "pruned"});
+  for (size_t c = 1; c <= 5; ++c) table.SetRightAlign(c);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const Row& row = rows[r];
+    std::string exact = "-";
+    std::string dropped = "-";
+    if (r == kPruneRow) {
+      exact = prune_cells_ok && prune_clusters_ok ? "clusters" : "NO";
+      dropped = StrFormat("%lld", static_cast<long long>(pairs_pruned));
+    } else if (r != kReferenceRow) {
+      exact = row.exact ? "yes" : "NO";
+      dropped = "0";
+    }
+    table.AddRow({row.name, Fmt3(row.median_s),
+                  StrFormat("%.2f", row.speedup),
+                  StrFormat("%.2f", RelativeSpread(row.speedups)), exact,
+                  dropped});
   }
-  table.AddRow(
-      {"fused[bitset-cand]", Fmt3(bitset_s),
-       StrFormat("%.2f", bitset_s > 0 ? reference_s / bitset_s : 0.0),
-       bitset_exact ? "yes" : "NO", "0"});
-  table.AddRow({StrFormat("fused[auto=%s]",
-                          KernelIsaName(ResolveKernelIsa(KernelIsa::kAuto))),
-                Fmt3(fused_s),
-                StrFormat("%.2f", fused_s > 0 ? reference_s / fused_s : 0.0),
-                fused_exact ? "yes" : "NO", "0"});
-  table.AddRow({StrFormat("fused+prune@%.2f", prune_min_sim), Fmt3(prune_s),
-                StrFormat("%.2f", prune_s > 0 ? reference_s / prune_s : 0.0),
-                prune_cells_ok && prune_clusters_ok ? "clusters" : "NO",
-                StrFormat("%lld", static_cast<long long>(pairs_pruned))});
   std::printf("%s", table.Render().c_str());
 
   BenchJson json("pair_kernel");
@@ -223,30 +287,34 @@ int main(int argc, char** argv) {
   json.Add("refs", static_cast<int64_t>(n));
   json.Add("entities", flags.GetInt64("entities"));
   json.Add("join_paths", static_cast<int64_t>(engine.paths().size()));
+  json.Add("live_paths",
+           static_cast<int64_t>(candidates.live_paths().size()));
   json.Add("repeat", flags.GetInt64("repeat"));
   json.Add("total_pairs", total_pairs);
   json.Add("candidate_pairs", candidates.count());
-  json.Add("reference_matrix_s", reference_s);
+  json.Add("path_slices", path_slices);
+  json.Add("path_joins", path_joins);
+  json.Add("reference_matrix_s", rows[kReferenceRow].median_s);
+  json.Add("reference_spread", RelativeSpread(rows[kReferenceRow].seconds));
   // fused_* is the defaults row (auto ISA); the per-variant keys pin one
   // merge-join ISA (sparse candidates) or force bitset candidates.
-  json.Add("fused_matrix_s", fused_s);
-  json.Add("fused_speedup", fused_s > 0 ? reference_s / fused_s : 0.0);
-  json.Add("fused_exact", static_cast<int64_t>(fused_exact ? 1 : 0));
-  const char* variant_keys[] = {"scalar", "gallop", "simd"};
-  for (size_t v = 0; v < 3; ++v) {
-    const VariantRow& row = variants[v];
-    json.Add(std::string(variant_keys[v]) + "_matrix_s", row.seconds);
-    json.Add(std::string(variant_keys[v]) + "_speedup",
-             row.seconds > 0 ? reference_s / row.seconds : 0.0);
-    json.Add(std::string(variant_keys[v]) + "_exact",
-             static_cast<int64_t>(row.exact ? 1 : 0));
+  const struct {
+    const char* key;
+    int row;
+  } keyed[] = {{"fused", kFusedRow}, {"scalar", 1}, {"gallop", 2},
+               {"simd", 3},          {"bitset", kBitsetRow}};
+  for (const auto& k : keyed) {
+    const Row& row = rows[static_cast<size_t>(k.row)];
+    const std::string key = k.key;
+    json.Add(key + "_matrix_s", row.median_s);
+    json.Add(key + "_speedup", row.speedup);
+    json.Add(key + "_spread", RelativeSpread(row.speedups));
+    json.Add(key + "_exact", static_cast<int64_t>(row.exact ? 1 : 0));
   }
-  json.Add("bitset_matrix_s", bitset_s);
-  json.Add("bitset_speedup", bitset_s > 0 ? reference_s / bitset_s : 0.0);
-  json.Add("bitset_exact", static_cast<int64_t>(bitset_exact ? 1 : 0));
   json.Add("prune_min_sim", prune_min_sim);
-  json.Add("prune_matrix_s", prune_s);
-  json.Add("prune_speedup", prune_s > 0 ? reference_s / prune_s : 0.0);
+  json.Add("prune_matrix_s", rows[kPruneRow].median_s);
+  json.Add("prune_speedup", rows[kPruneRow].speedup);
+  json.Add("prune_spread", RelativeSpread(rows[kPruneRow].speedups));
   json.Add("pairs_pruned", pairs_pruned);
   json.Add("prune_clustering_identical",
            static_cast<int64_t>(prune_clusters_ok ? 1 : 0));
@@ -255,25 +323,12 @@ int main(int argc, char** argv) {
   std::printf(
       "\nevery fused row must reproduce the reference matrices bit-for-bit; "
       "the prune row must leave the clustering at its floor unchanged.\n");
-  for (const VariantRow& row : variants) {
-    if (!row.exact) {
-      std::fprintf(stderr,
-                   "error: %s diverged from the reference matrices\n",
-                   row.name);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    if (r != kReferenceRow && r != kPruneRow && !rows[r].exact) {
+      std::fprintf(stderr, "error: %s diverged from the reference matrices\n",
+                   rows[r].name.c_str());
       return 1;
     }
-  }
-  if (!bitset_exact) {
-    std::fprintf(stderr,
-                 "error: bitset candidate generation diverged from the "
-                 "reference matrices\n");
-    return 1;
-  }
-  if (!fused_exact) {
-    std::fprintf(stderr,
-                 "error: fused kernel (pruning off) diverged from the "
-                 "reference matrices\n");
-    return 1;
   }
   if (!prune_cells_ok || !prune_clusters_ok) {
     std::fprintf(stderr,

@@ -13,11 +13,13 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
+#include "sim/fused_kernel.h"
 
 namespace distinct {
 
 int64_t EstimatedGroupMatrixBytes(int64_t n) {
   return n * (n - 1) * static_cast<int64_t>(sizeof(double)) +
+         CandidateSet::MaskBytes(n) +
          2 * n * static_cast<int64_t>(sizeof(int));
 }
 

@@ -36,10 +36,11 @@ namespace distinct {
 /// (and, squared-ish, to its memory): n·(n-1)/2.
 int64_t EstimatedPairs(const NameGroup& group);
 
-/// Pair matrices (resemblance + walk, strict lower triangle of doubles)
-/// plus the assignment vector for a group of n references. The scan's
-/// over-budget rejection and the serve admission controller both price a
-/// query with this same estimate.
+/// Pair matrices (resemblance + walk, strict lower triangle of doubles),
+/// the fused fill's per-cell path masks (CandidateSet, one PathMask per
+/// cell) and the assignment vector for a group of n references. The
+/// scan's over-budget rejection and the serve admission controller both
+/// price a query with this same estimate.
 int64_t EstimatedGroupMatrixBytes(int64_t n);
 
 /// A deterministic partition of group indices into shards.

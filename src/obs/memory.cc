@@ -20,6 +20,8 @@ const char* MemoryTracker::ComponentName(Component component) {
       return "subtree_cache";
     case kPairMatrix:
       return "pair_matrix";
+    case kCandidateMask:
+      return "candidate_mask";
     case kCheckpoint:
       return "checkpoint";
     case kIngestDictionary:

@@ -21,38 +21,34 @@ PairFeatures FusedFeatures(const ProfileArena& arena, size_t i, size_t j,
   return features;
 }
 
-namespace {
-
-/// ORs `word` into the triangle bitmap at bit position `bit_pos` (the low
-/// bit of `word` lands on `bit_pos`). Callers guarantee every set bit of
-/// `word` stays inside the bitmap.
-inline void OrWordAt(std::vector<uint64_t>& bits, size_t bit_pos,
-                     uint64_t word) {
-  if (word == 0) {
-    return;
+std::vector<uint32_t> LivePaths(const SimilarityModel& model) {
+  std::vector<uint32_t> live;
+  for (size_t p = 0; p < model.num_paths(); ++p) {
+    if (model.resem_weights()[p] != 0.0 || model.walk_weights()[p] != 0.0) {
+      live.push_back(static_cast<uint32_t>(p));
+    }
   }
-  const size_t q = bit_pos >> 6;
-  const size_t s = bit_pos & 63;
-  if (s == 0) {
-    bits[q] |= word;
-    return;
-  }
-  bits[q] |= word << s;
-  const uint64_t spill = word >> (64 - s);
-  if (spill != 0) {
-    bits[q + 1] |= spill;
-  }
+  return live;
 }
 
-}  // namespace
+CandidateSet::CandidateSet(size_t n, std::vector<uint32_t> live_paths)
+    : num_refs_(n),
+      live_paths_(std::move(live_paths)),
+      masks_(n < 2 ? 0 : n * (n - 1) / 2, 0),
+      tracked_(obs::MemoryTracker::kCandidateMask) {
+  tracked_.Set(static_cast<int64_t>(masks_.capacity() * sizeof(PathMask)));
+}
+
+int64_t CandidateSet::count() const {
+  return std::count_if(masks_.begin(), masks_.end(),
+                       [](PathMask mask) { return mask != 0; });
+}
 
 CandidateSet CandidateSet::Build(const ProfileArena& arena,
+                                 std::vector<uint32_t> live_paths,
                                  const CandidateBuildOptions& options) {
-  CandidateSet set;
   const size_t n = arena.num_refs();
-  set.num_refs_ = n;
-  const size_t cells = n < 2 ? 0 : n * (n - 1) / 2;
-  set.bits_.assign((cells + 63) / 64, 0);
+  CandidateSet set(n, std::move(live_paths));
 
   // Scratch shared across paths (and, via thread_local, across the many
   // names one scan worker builds — same idiom and lifetime contract as
@@ -64,18 +60,19 @@ CandidateSet CandidateSet::Build(const ProfileArena& arena,
   std::vector<uint32_t> group_begin;  // dense id -> start in grouped
   std::vector<int32_t> grouped;       // refs grouped by dense tuple id
   std::vector<uint64_t> tuple_bits;   // dense id -> reference bitmap
-  std::vector<uint64_t> row;          // one reference's candidate row
+  std::vector<uint64_t> row;          // one reference's overlap row
 
   const size_t words = (n + 63) / 64;
-  for (size_t p = 0; p < arena.num_paths(); ++p) {
-    const ProfileArena::Path& path = arena.path(p);
+  for (size_t k = 0; k < set.live_paths_.size(); ++k) {
+    const ProfileArena::Path& path = arena.path(set.live_paths_[k]);
+    const PathMask bit = PathMask{1}
+                         << std::min<size_t>(k, kOverflowBit);
     const size_t entries = path.tuples.size();
     if (entries == 0) {
       continue;
     }
     // Pass 1: dense-number every distinct tuple on this path and count its
-    // postings — a counting sort's histogram, replacing the comparison
-    // sort the old Build ran per path.
+    // postings — a counting sort's histogram.
     touched.clear();
     counts.clear();
     for (size_t e = 0; e < entries; ++e) {
@@ -111,9 +108,9 @@ CandidateSet CandidateSet::Build(const ProfileArena& arena,
 
     if (use_bitset) {
       // Dense path: tuple -> reference bitmaps, then one word-parallel OR
-      // per (reference, tuple) posting and a shifted OR into the
-      // contiguous triangle row of each reference. Hub tuples cost words,
-      // not pairs².
+      // per (reference, tuple) posting into a row of the references below
+      // r sharing a tuple with it, and this path's bit ORed into each of
+      // the row's cells. Hub tuples cost words, not pairs².
       tuple_bits.assign(distinct * words, 0);
       for (size_t r = 0; r < n; ++r) {
         for (size_t e = path.offsets[r]; e < path.offsets[r + 1]; ++e) {
@@ -127,7 +124,7 @@ CandidateSet CandidateSet::Build(const ProfileArena& arena,
         if (path.size(r) == 0) {
           continue;
         }
-        // Only bits below r survive the splice, so only the words that can
+        // Only bits below r are cells of row r, so only the words that can
         // hold them are ORed (and re-zeroed).
         const size_t row_words = (r + 63) / 64;
         for (size_t e = path.offsets[r]; e < path.offsets[r + 1]; ++e) {
@@ -138,18 +135,17 @@ CandidateSet CandidateSet::Build(const ProfileArena& arena,
             row[w] |= src[w];
           }
         }
-        const size_t base = r * (r - 1) / 2;
-        const size_t full = r / 64;
-        const size_t rem = r % 64;
-        for (size_t w = 0; w < full; ++w) {
-          OrWordAt(set.bits_, base + 64 * w, row[w]);
+        if (r % 64 != 0) {
+          row[row_words - 1] &= (uint64_t{1} << (r % 64)) - 1;
         }
-        if (rem != 0) {
-          OrWordAt(set.bits_, base + 64 * full,
-                   row[full] & ((uint64_t{1} << rem) - 1));
+        PathMask* cells = set.masks_.data() + r * (r - 1) / 2;
+        for (size_t w = 0; w < row_words; ++w) {
+          for (uint64_t word = row[w]; word != 0; word &= word - 1) {
+            cells[64 * w + static_cast<size_t>(std::countr_zero(word))] |=
+                bit;
+          }
+          row[w] = 0;
         }
-        std::fill(row.begin(), row.begin() + static_cast<int64_t>(row_words),
-                  0);
       }
     } else {
       // Sparse path: scatter references into per-tuple groups (counting
@@ -173,10 +169,9 @@ CandidateSet CandidateSet::Build(const ProfileArena& arena,
         const size_t end = group_begin[d + 1];
         for (size_t a = begin; a < end; ++a) {
           const auto i = static_cast<size_t>(grouped[a]);
-          const size_t row_base = i * (i - 1) / 2;
+          PathMask* cells = set.masks_.data() + i * (i - 1) / 2;
           for (size_t b = begin; b < a; ++b) {
-            const size_t bit = row_base + static_cast<size_t>(grouped[b]);
-            set.bits_[bit >> 6] |= uint64_t{1} << (bit & 63);
+            cells[static_cast<size_t>(grouped[b])] |= bit;
           }
         }
       }
@@ -185,20 +180,14 @@ CandidateSet CandidateSet::Build(const ProfileArena& arena,
       dense_of[static_cast<size_t>(t)] = -1;
     }
   }
-
-  for (const uint64_t word : set.bits_) {
-    set.count_ += std::popcount(word);
-  }
   return set;
 }
 
 CandidateSet CandidateSet::BuildPartial(const ProfileArena& arena,
+                                        std::vector<uint32_t> live_paths,
                                         const std::vector<char>& dirty) {
-  CandidateSet set;
   const size_t n = arena.num_refs();
-  set.num_refs_ = n;
-  const size_t cells = n < 2 ? 0 : n * (n - 1) / 2;
-  set.bits_.assign((cells + 63) / 64, 0);
+  CandidateSet set(n, std::move(live_paths));
 
   // Build()'s tuple groups, restricted to the dirty rows' neighborhoods,
   // without the sort: pass 1 numbers each tuple a dirty reference holds
@@ -209,7 +198,7 @@ CandidateSet CandidateSet::BuildPartial(const ProfileArena& arena,
   // partial refill, and marking a both-dirty pair from either end twice
   // is idempotent. Per path the cost is one O(entries) scan plus
   // O(dirty_members x members) marking per bucket, instead of Build()'s
-  // sort and O(members^2) groups.
+  // O(members^2) groups.
   // Scratch persists across calls (bucket_of alone spans the tuple id
   // space, ~100KB) — one IncrementalCatalog apply runs this for hundreds
   // of names, and re-zeroing per name would dwarf the real work. Each path
@@ -218,8 +207,10 @@ CandidateSet CandidateSet::BuildPartial(const ProfileArena& arena,
   static thread_local std::vector<int32_t> bucket_of;  // tuple -> bucket id
   static thread_local std::vector<int32_t> touched;    // numbered this path
   static thread_local std::vector<std::vector<int32_t>> buckets;
-  for (size_t p = 0; p < arena.num_paths(); ++p) {
-    const ProfileArena::Path& path = arena.path(p);
+  for (size_t k = 0; k < set.live_paths_.size(); ++k) {
+    const ProfileArena::Path& path = arena.path(set.live_paths_[k]);
+    const PathMask bit = PathMask{1}
+                         << std::min<size_t>(k, kOverflowBit);
     touched.clear();
     for (size_t r = 0; r < n; ++r) {
       if (!dirty[r]) {
@@ -265,8 +256,7 @@ CandidateSet CandidateSet::BuildPartial(const ProfileArena& arena,
           }
           const size_t hi = i > j ? i : j;
           const size_t lo = i > j ? j : i;
-          const size_t bit = hi * (hi - 1) / 2 + lo;
-          set.bits_[bit >> 6] |= uint64_t{1} << (bit & 63);
+          set.masks_[hi * (hi - 1) / 2 + lo] |= bit;
         }
       }
       members.clear();
@@ -274,10 +264,6 @@ CandidateSet CandidateSet::BuildPartial(const ProfileArena& arena,
     for (const int32_t t : touched) {
       bucket_of[static_cast<size_t>(t)] = -1;
     }
-  }
-
-  for (const uint64_t word : set.bits_) {
-    set.count_ += std::popcount(word);
   }
   return set;
 }

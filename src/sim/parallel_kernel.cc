@@ -14,28 +14,35 @@ namespace distinct {
 
 namespace {
 
-/// Runs `fill_cell(i, j, &tile_stats)` over every strict-lower-triangle
-/// cell — serially, or tiled over the pool — in an order-independent way.
-/// `tile_stats` accumulates per-tile pruned-pair counts so the hot loop
-/// never touches a shared counter.
-template <typename FillCell>
+/// What one tile (or one serial fill) of the fused kernel did, tallied in
+/// locals and published as counters once per tile — never per cell, so
+/// the hot loop never touches a shared counter.
+struct FillTally {
+  int64_t cells = 0;       // cells visited (the dirty ones, for a refill)
+  int64_t candidates = 0;  // visited cells with a live-path overlap
+  int64_t pruned = 0;      // candidates the mass-bound prune dropped
+  int64_t joins = 0;       // (pair, path) merge-joins run
+};
+
+/// Runs `fill_cell(i, j, &tally)` over every strict-lower-triangle cell —
+/// serially, or tiled over the pool — in an order-independent way, and
+/// hands each tile's tally to `publish` once the tile is done.
+template <typename FillCell, typename Publish>
 void ForEachCell(size_t n, ThreadPool* pool, const PairKernelOptions& options,
-                 const FillCell& fill_cell) {
+                 const FillCell& fill_cell, const Publish& publish) {
   const CancelToken* cancel = options.cancel;
   if (pool == nullptr ||
       n < static_cast<size_t>(std::max(options.min_parallel_refs, 0))) {
-    int64_t pruned = 0;
+    FillTally tally;
     for (size_t i = 0; i < n; ++i) {
       if (cancel != nullptr && cancel->CheckAbort()) {
         break;
       }
       for (size_t j = 0; j < i; ++j) {
-        fill_cell(i, j, &pruned);
+        fill_cell(i, j, &tally);
       }
     }
-    if (pruned > 0) {
-      DISTINCT_COUNTER_ADD("sim.pairs_pruned", pruned);
-    }
+    publish(tally);
     return;
   }
 
@@ -57,18 +64,16 @@ void ForEachCell(size_t n, ThreadPool* pool, const PairKernelOptions& options,
                       const auto [bi, bj] = tiles[static_cast<size_t>(t)];
                       const size_t i_end = std::min(n, (bi + 1) * tile);
                       const size_t j_begin = bj * tile;
-                      int64_t pruned = 0;
+                      FillTally tally;
                       for (size_t i = bi * tile; i < i_end; ++i) {
                         const size_t j_end =
                             std::min<size_t>((bj + 1) * tile, i);
                         for (size_t j = j_begin; j < j_end; ++j) {
-                          fill_cell(i, j, &pruned);
+                          fill_cell(i, j, &tally);
                         }
                       }
                       DISTINCT_COUNTER_ADD("sim.tiles_filled", 1);
-                      if (pruned > 0) {
-                        DISTINCT_COUNTER_ADD("sim.pairs_pruned", pruned);
-                      }
+                      publish(tally);
                     });
 }
 
@@ -81,16 +86,17 @@ void FillReference(const ProfileStore& store, const SimilarityModel& model,
                    ThreadPool* pool, const PairKernelOptions& options,
                    PairMatrix* resem, PairMatrix* walk,
                    const std::vector<char>* recompute = nullptr) {
-  ForEachCell(store.num_refs(), pool, options,
-              [&](size_t i, size_t j, int64_t* /*pruned*/) {
-                if (recompute != nullptr &&
-                    !((*recompute)[i] | (*recompute)[j])) {
-                  return;
-                }
-                const PairFeatures features = store.Features(i, j);
-                resem->set(i, j, model.Resemblance(features));
-                walk->set(i, j, model.Walk(features));
-              });
+  ForEachCell(
+      store.num_refs(), pool, options,
+      [&](size_t i, size_t j, FillTally* /*tally*/) {
+        if (recompute != nullptr && !((*recompute)[i] | (*recompute)[j])) {
+          return;
+        }
+        const PairFeatures features = store.Features(i, j);
+        resem->set(i, j, model.Resemblance(features));
+        walk->set(i, j, model.Walk(features));
+      },
+      [](const FillTally& /*tally*/) {});
 }
 
 void FillFused(const ProfileStore& store, const ProfileArena& arena,
@@ -99,53 +105,55 @@ void FillFused(const ProfileStore& store, const ProfileArena& arena,
                PairMatrix* walk,
                const std::vector<char>* recompute = nullptr) {
   Stopwatch kernel_watch;
-  // A full fill builds the complete candidate set; the partial fill builds
-  // the dirty-restricted one — full Build costs O(members^2) per tuple
-  // group, which on a mega-name outweighs the joins a few dirty rows save.
-  // Either way a pair outside the set shares no neighbor tuple, its
-  // merge-joins are all-zero, and max(0, 0) writes back exactly the 0.0
-  // the skip leaves, so the cells are bit-identical with or without it.
+  // A full fill builds the complete per-path overlap masks; the partial
+  // fill builds the dirty-restricted ones — full Build costs O(members^2)
+  // per tuple group, which on a mega-name outweighs the joins a few dirty
+  // rows save. Either way the masks hold only live paths (a nonzero
+  // resemblance or walk weight), and a (pair, path) slice left out of a
+  // mask shares no tuple or weighs exactly 0.0: its join would add only
+  // signed zeros to sums that start at +0.0, so joining just the set bits,
+  // in ascending path order, leaves every cell bit-identical — and a cell
+  // with an empty mask keeps the 0.0 init, which max(0, 0) would write.
   // No trace span here: FillFused runs inside parallel-scan worker
   // lambdas, which must record only commutative counters (scan.cc pins
   // "one span per bulk run" at any thread count).
   const bool full_fill = recompute == nullptr;
   const CandidateSet candidates =
-      full_fill ? CandidateSet::Build(arena, options.candidates)
-                : CandidateSet::BuildPartial(arena, *recompute);
+      full_fill
+          ? CandidateSet::Build(arena, LivePaths(model), options.candidates)
+          : CandidateSet::BuildPartial(arena, LivePaths(model), *recompute);
   const bool prune = options.pruning && options.prune_min_sim > 0.0;
   const PrunePolicy policy{options.prune_min_sim, options.measure,
                            options.combine};
   // Weighted per-path accumulation in path order — the same floating-point
   // op sequence as SimilarityModel::Resemblance/Walk over a PairFeatures
-  // vector, without materializing one per pair. The merge-join variant is
-  // resolved once per fill, never per cell.
+  // vector, minus the exact-zero terms, without materializing one per
+  // pair. The merge-join variant is resolved once per fill, never per
+  // cell.
   const KernelIsa isa = ResolveKernelIsa(options.isa);
   const std::vector<double>& resem_weights = model.resem_weights();
   const std::vector<double>& walk_weights = model.walk_weights();
-  const size_t num_paths = arena.num_paths();
+  const std::vector<uint32_t>& live = candidates.live_paths();
+  constexpr unsigned kOverflow = CandidateSet::kOverflowBit;
+  constexpr PathMask kDirectBits = (PathMask{1} << kOverflow) - 1;
+  // Live paths past the mask word share the overflow bit; an overlap on
+  // any of them joins the whole tail in path order.
+  const size_t tail_begin = std::min<size_t>(live.size(), kOverflow);
+  const auto tail_joins = static_cast<int64_t>(live.size() - tail_begin);
+  const auto num_paths = static_cast<int64_t>(arena.num_paths());
   const size_t n = store.num_refs();
 
-  // Per-reference nonempty-path bitmasks: a path where either slice is
-  // empty contributes exactly-zero features, and weight · 0.0 only ever
-  // adds a signed zero to the running sums — so iterating just the set
-  // bits of mask_i & mask_j (ascending, preserving path order) leaves
-  // every cell value unchanged. Join paths are few (the schema walk is
-  // depth-bounded), so one word almost always covers them; a >64-path
-  // arena falls back to visiting every path.
-  std::vector<uint64_t> path_mask;
-  const bool use_masks = num_paths > 0 && num_paths <= 64;
-  if (use_masks) {
-    path_mask.assign(n, 0);
-    for (size_t p = 0; p < num_paths; ++p) {
-      const ProfileArena::Path& path = arena.path(p);
-      const uint64_t bit = uint64_t{1} << p;
-      for (size_t r = 0; r < n; ++r) {
-        if (path.offsets[r + 1] != path.offsets[r]) {
-          path_mask[r] |= bit;
-        }
-      }
+  const auto publish = [&](const FillTally& tally) {
+    if (full_fill) {
+      DISTINCT_COUNTER_ADD("sim.candidate_pairs", tally.candidates);
     }
-  }
+    if (tally.pruned > 0) {
+      DISTINCT_COUNTER_ADD("sim.pairs_pruned", tally.pruned);
+    }
+    DISTINCT_COUNTER_ADD("sim.path_joins", tally.joins);
+    DISTINCT_COUNTER_ADD("sim.path_joins_skipped",
+                         tally.cells * num_paths - tally.joins);
+  };
 
   // Generic over the join callable so the scalar instantiation inlines
   // FusedMergeJoin (header-inline) straight into the cell loop — the
@@ -154,50 +162,52 @@ void FillFused(const ProfileStore& store, const ProfileArena& arena,
   const auto run_cells = [&](auto join) {
     ForEachCell(
         n, pool, options,
-        [&, join](size_t i, size_t j, int64_t* pruned) {
+        [&, join](size_t i, size_t j, FillTally* tally) {
           if (recompute != nullptr && !((*recompute)[i] | (*recompute)[j])) {
             return;
           }
-          // No shared tuple on any path: every feature is exactly 0, so
-          // the model-combined cell is the 0.0 the matrix was initialized
-          // with.
-          if (!candidates.contains(i, j)) {
+          ++tally->cells;
+          const PathMask mask = candidates.mask(i, j);
+          if (mask == 0) {
             return;
           }
+          ++tally->candidates;
           if (prune &&
               PairSimilarityUpperBound(arena, model, policy, i, j) <
                   policy.min_sim) {
-            ++*pruned;
+            ++tally->pruned;
             return;
           }
           double resem_sim = 0.0;
           double walk_sim = 0.0;
-          if (use_masks) {
-            for (uint64_t m = path_mask[i] & path_mask[j]; m != 0;
-                 m &= m - 1) {
-              const auto p = static_cast<size_t>(std::countr_zero(m));
-              const uint64_t rest = m & (m - 1);
-              if (rest != 0) {
-                // Overlap the next path's slice loads with this join.
-                const auto np = static_cast<size_t>(std::countr_zero(rest));
-                const ProfileArena::Path& next = arena.path(np);
-                __builtin_prefetch(next.tuples.data() + next.offsets[i]);
-                __builtin_prefetch(next.tuples.data() + next.offsets[j]);
-              }
+          for (PathMask m = mask & kDirectBits; m != 0; m &= m - 1) {
+            const size_t p = live[static_cast<size_t>(std::countr_zero(m))];
+            const PathMask rest = m & (m - 1);
+            if (rest != 0) {
+              // Overlap the next path's slice loads with this join.
+              const ProfileArena::Path& next =
+                  arena.path(live[static_cast<size_t>(std::countr_zero(rest))]);
+              __builtin_prefetch(next.tuples.data() + next.offsets[i]);
+              __builtin_prefetch(next.tuples.data() + next.offsets[j]);
+            }
+            const FusedPathFeatures features = join(arena.path(p), i, j);
+            resem_sim += resem_weights[p] * features.resemblance;
+            walk_sim += walk_weights[p] * features.walk;
+          }
+          tally->joins += std::popcount(mask & kDirectBits);
+          if ((mask >> kOverflow) != 0) {
+            for (size_t k = tail_begin; k < live.size(); ++k) {
+              const size_t p = live[k];
               const FusedPathFeatures features = join(arena.path(p), i, j);
               resem_sim += resem_weights[p] * features.resemblance;
               walk_sim += walk_weights[p] * features.walk;
             }
-          } else {
-            for (size_t p = 0; p < num_paths; ++p) {
-              const FusedPathFeatures features = join(arena.path(p), i, j);
-              resem_sim += resem_weights[p] * features.resemblance;
-              walk_sim += walk_weights[p] * features.walk;
-            }
+            tally->joins += tail_joins;
           }
           resem->set(i, j, std::max(resem_sim, 0.0));
           walk->set(i, j, std::max(walk_sim, 0.0));
-        });
+        },
+        publish);
   };
   switch (isa) {
     case KernelIsa::kGallop:
@@ -216,10 +226,6 @@ void FillFused(const ProfileStore& store, const ProfileArena& arena,
         return FusedMergeJoin(path, i, j);
       });
       break;
-  }
-
-  if (full_fill) {
-    DISTINCT_COUNTER_ADD("sim.candidate_pairs", candidates.count());
   }
   DISTINCT_HISTOGRAM_RECORD("sim.kernel_ns", kernel_watch.ElapsedNanos());
 }

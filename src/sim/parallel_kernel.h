@@ -10,12 +10,20 @@
 // bit-identical to the serial loop at any thread count.
 //
 // Two kernels fill the cells (fused_kernel.h documents the fused one):
-//  - kFused (default): flattens the store into a ProfileArena, skips
-//    non-candidate pairs via the inverted-index candidate set (their cells
-//    stay at the 0.0 init, which is exactly their value), and computes each
-//    remaining cell with one merge-join per path. Bit-identical to the
-//    reference kernel; optionally prunes candidates whose mass-bound
-//    similarity upper bound falls below `prune_min_sim`.
+//  - kFused (default): flattens the store into a ProfileArena, builds one
+//    PathMask per cell — the live paths (nonzero resemblance or walk
+//    weight) on which the pair shares a tuple — and runs one merge-join
+//    per set bit, in path order. Every slice it leaves out would add only
+//    signed zeros, so cells with an empty mask stay at the 0.0 init and
+//    the rest come out bit-identical to the reference kernel. Optionally
+//    prunes candidates whose mass-bound similarity upper bound falls below
+//    `prune_min_sim`.
+//
+// Fill counters are tallied per tile, never per cell: sim.candidate_pairs
+// (cells with at least one live-path overlap, full fills only),
+// sim.pairs_pruned, sim.path_joins (merge-joins run) and
+// sim.path_joins_skipped (visited cells × join paths − joins), so a run
+// report shows the share of (pair, path) slices the masks skipped.
 //  - kReference: three sorted merges per (pair, path) over the
 //    array-of-structs profiles — the exactness baseline.
 
@@ -54,7 +62,8 @@ struct PairKernelOptions {
   /// once per fill — kAuto picks the best the host supports. Every ISA is
   /// bit-identical, so this is purely a speed knob.
   KernelIsa isa = KernelIsa::kAuto;
-  /// Sparse-vs-bitset thresholds for CandidateSet::Build (kFused only).
+  /// Grouped-vs-bitset marking thresholds for CandidateSet::Build (kFused
+  /// only).
   CandidateBuildOptions candidates;
   /// Mass-bound candidate pruning (kFused only): skip candidate pairs whose
   /// combined-similarity upper bound is below `prune_min_sim`, leaving

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <utility>
 
+#include "common/logging.h"
 #include "common/stopwatch.h"
 #include "obs/metrics.h"
 
@@ -98,6 +99,19 @@ ProfileStore ProfileStore::Build(const PropagationEngine& engine,
   DISTINCT_COUNTER_ADD("prop.profiles_built",
                        static_cast<int64_t>(store.refs_.size()));
   DISTINCT_HISTOGRAM_RECORD("sim.profile_build_nanos", watch.ElapsedNanos());
+  return store;
+}
+
+ProfileStore ProfileStore::FromProfiles(
+    std::vector<std::vector<NeighborProfile>> profiles) {
+  ProfileStore store;
+  store.num_paths_ = profiles.empty() ? 0 : profiles[0].size();
+  store.profiles_ = std::move(profiles);
+  for (size_t i = 0; i < store.profiles_.size(); ++i) {
+    DISTINCT_CHECK(store.profiles_[i].size() == store.num_paths_);
+    store.refs_.push_back(static_cast<int32_t>(i));
+    store.index_.emplace_back(static_cast<int32_t>(i), i);
+  }
   return store;
 }
 

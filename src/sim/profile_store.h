@@ -84,6 +84,13 @@ class ProfileStore {
                             SubtreeCache* shared_cache = nullptr,
                             WorkspacePool* shared_workspaces = nullptr);
 
+  /// A store over precomputed profiles: reference i is ref id i and
+  /// `profiles[i][p]` its profile on path p (every row the same length).
+  /// For kernel tests that need profiles no database produces — hub
+  /// tuples, empty slices, more paths than a mask word.
+  static ProfileStore FromProfiles(
+      std::vector<std::vector<NeighborProfile>> profiles);
+
   /// Splice-update after a database delta (the serving-path seam of the
   /// incremental catalog): recomputes in place the profiles of the
   /// references at `positions` of refs() — those whose evidence the delta

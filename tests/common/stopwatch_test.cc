@@ -22,7 +22,7 @@ TEST(StopwatchTest, UnitsAgree) {
   // Spin briefly so every reading is non-zero.
   volatile int sink = 0;
   for (int i = 0; i < 100000; ++i) {
-    sink = sink + i;
+    sink = sink + 1;
   }
   const int64_t nanos = watch.ElapsedNanos();
   const double seconds = watch.Seconds();
@@ -36,7 +36,7 @@ TEST(StopwatchTest, ResetRestartsTheClock) {
   Stopwatch watch;
   volatile int sink = 0;
   for (int i = 0; i < 100000; ++i) {
-    sink = sink + i;
+    sink = sink + 1;
   }
   const int64_t before = watch.ElapsedNanos();
   watch.Reset();

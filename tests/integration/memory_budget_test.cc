@@ -1,6 +1,7 @@
 // Memory accounting without a subtree memo: production propagation keeps
 // none, so the memo's byte gauge stays at zero through every production
-// path, and serve admission prices a query by its own matrices alone.
+// path, and serve admission prices a query by its own matrices (and the
+// fill's path masks) alone.
 
 #include <gtest/gtest.h>
 
@@ -14,9 +15,14 @@
 #include "core/scan.h"
 #include "core/scan_shard.h"
 #include "dblp/generator.h"
+#include "common/thread_pool.h"
 #include "dblp/schema.h"
 #include "obs/memory.h"
 #include "serve/service.h"
+#include "sim/fused_kernel.h"
+#include "sim/parallel_kernel.h"
+#include "sim/profile_arena.h"
+#include "sim/profile_store.h"
 
 namespace distinct {
 namespace {
@@ -117,6 +123,57 @@ TEST(SubtreeMemoGaugeTest, StaysZeroThroughScanServeAndDelta) {
   auto rescanned = RunShardedScan(*engine, *groups, scan);
   ASSERT_TRUE(rescanned.ok());
   expect_zero("delta and rescan");
+}
+
+/// One group's pair fill — the fused kernel's per-path masks and both pair
+/// matrices — never holds more bytes than EstimatedGroupMatrixBytes, the
+/// figure shard and serve admission price the group at, so
+/// --scan-memory-mb keeps bounding what a fill holds. Peaks are summed per
+/// component, which can only overstate the joint peak.
+TEST(GroupMatrixEstimateTest, CoversTheTrackedPeakOfOneFill) {
+  GeneratorConfig generator;
+  generator.seed = 5;
+  generator.num_communities = 8;
+  generator.authors_per_community = 10;
+  generator.ambiguous = {{"Wei Wang", 4, 150}};
+  auto dataset = GenerateDblpDataset(generator);
+  ASSERT_TRUE(dataset.ok());
+  DistinctConfig config = EngineConfig();
+  config.supervised = false;
+  auto engine = Distinct::Create(dataset->db, DblpReferenceSpec(), config);
+  ASSERT_TRUE(engine.ok());
+  auto refs = engine->RefsForName("Wei Wang");
+  ASSERT_TRUE(refs.ok());
+  const auto n = static_cast<int64_t>(refs->size());
+  ASSERT_GE(n, 100);
+
+  ThreadPool pool(2);
+  const ProfileStore store = ProfileStore::Build(
+      engine->propagation_engine(), engine->paths(),
+      engine->config().propagation, *refs, &pool);
+  const ProfileArena arena = ProfileArena::FromStore(store);
+
+  MemoryTracker& tracker = MemoryTracker::Global();
+  const int64_t arena_bytes =
+      tracker.CurrentBytes(MemoryTracker::kProfileArena);
+  tracker.Reset();  // zero the peaks: those below are this fill's
+  tracker.Add(MemoryTracker::kProfileArena, arena_bytes);  // still alive
+  {
+    PairKernelOptions kernel = engine->kernel_options(true);
+    kernel.min_parallel_refs = 2;
+    kernel.tile_size = 16;
+    const auto matrices =
+        ComputePairMatrices(store, arena, engine->model(), &pool, kernel);
+    ASSERT_EQ(matrices.first.size(), refs->size());
+  }
+  const int64_t matrix_peak = tracker.PeakBytes(MemoryTracker::kPairMatrix);
+  const int64_t mask_peak = tracker.PeakBytes(MemoryTracker::kCandidateMask);
+  EXPECT_EQ(mask_peak, CandidateSet::MaskBytes(n));
+  EXPECT_GE(matrix_peak, n * (n - 1) * static_cast<int64_t>(sizeof(double)));
+  EXPECT_LE(matrix_peak + mask_peak, EstimatedGroupMatrixBytes(n));
+  // Both gauges drain once the fill's results are gone.
+  EXPECT_EQ(tracker.CurrentBytes(MemoryTracker::kPairMatrix), 0);
+  EXPECT_EQ(tracker.CurrentBytes(MemoryTracker::kCandidateMask), 0);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -14,9 +16,11 @@
 #include "core/distinct.h"
 #include "dblp/generator.h"
 #include "dblp/schema.h"
+#include "obs/metrics.h"
 #include "sim/parallel_kernel.h"
 #include "sim/profile_arena.h"
 #include "sim/profile_store.h"
+#include "sim/similarity_model.h"
 
 namespace distinct {
 namespace {
@@ -185,14 +189,15 @@ TEST_P(FusedDifferentialTest, CandidateSetMatchesBruteForceOverlap) {
   const size_t kRefs = 14;
   const auto profiles = RandomProfiles(rng, kRefs, /*num_paths=*/2);
   const ProfileArena arena = ProfileArena::FromProfiles(profiles);
-  const CandidateSet candidates = CandidateSet::Build(arena);
+  const CandidateSet candidates =
+      CandidateSet::Build(arena, {0, 1});  // both paths
   ASSERT_EQ(candidates.num_refs(), kRefs);
 
   int64_t expected_count = 0;
   for (size_t i = 1; i < kRefs; ++i) {
     for (size_t j = 0; j < i; ++j) {
       const bool overlap = ShareAnyTuple(profiles[i], profiles[j]);
-      EXPECT_EQ(candidates.contains(i, j), overlap)
+      EXPECT_EQ(candidates.mask(i, j) != 0, overlap)
           << "pair (" << i << ", " << j << ")";
       expected_count += overlap ? 1 : 0;
       if (!overlap) {
@@ -265,7 +270,7 @@ TEST(FusedKernelEdgeTest, EmptyProfilesYieldZeroFeatures) {
   const FusedPathFeatures features = FusedMergeJoin(arena.path(0), 1, 0);
   EXPECT_EQ(features.resemblance, 0.0);
   EXPECT_EQ(features.walk, 0.0);
-  EXPECT_FALSE(CandidateSet::Build(arena).contains(1, 0));
+  EXPECT_EQ(CandidateSet::Build(arena, {0}).mask(1, 0), 0u);
 }
 
 TEST(FusedKernelEdgeTest, ZeroForwardMassGivesZeroDenominator) {
@@ -279,7 +284,7 @@ TEST(FusedKernelEdgeTest, ZeroForwardMassGivesZeroDenominator) {
   EXPECT_EQ(features.resemblance, 0.0);
   EXPECT_EQ(features.walk, 0.0);  // forward factors are 0 in both directions
   // Tuples overlap, so the pair is still a candidate.
-  EXPECT_TRUE(CandidateSet::Build(arena).contains(1, 0));
+  EXPECT_EQ(CandidateSet::Build(arena, {0}).mask(1, 0), 1u);
 }
 
 TEST(FusedKernelEdgeTest, DisjointTuplesAreNotCandidates) {
@@ -288,10 +293,10 @@ TEST(FusedKernelEdgeTest, DisjointTuplesAreNotCandidates) {
   profiles[1].emplace_back(std::vector<ProfileEntry>{{2, 1.0, 1.0}});
   profiles[2].emplace_back(std::vector<ProfileEntry>{{1, 0.5, 0.5}});
   const ProfileArena arena = ProfileArena::FromProfiles(profiles);
-  const CandidateSet candidates = CandidateSet::Build(arena);
-  EXPECT_FALSE(candidates.contains(1, 0));
-  EXPECT_FALSE(candidates.contains(2, 1));
-  EXPECT_TRUE(candidates.contains(2, 0));
+  const CandidateSet candidates = CandidateSet::Build(arena, {0});
+  EXPECT_EQ(candidates.mask(1, 0), 0u);
+  EXPECT_EQ(candidates.mask(2, 1), 0u);
+  EXPECT_EQ(candidates.mask(2, 0), 1u);
   EXPECT_EQ(candidates.count(), 1);
 }
 
@@ -421,14 +426,15 @@ TEST_F(FusedKernelEngineTest, EveryKernelIsaMatchesReferenceBitIdentically) {
 TEST_F(FusedKernelEngineTest, NonCandidatePairsAreExactlyZeroInReference) {
   const ProfileStore store = BuildStore(nullptr);
   const ProfileArena arena = ProfileArena::FromStore(store);
-  const CandidateSet candidates = CandidateSet::Build(arena);
+  const CandidateSet candidates =
+      CandidateSet::Build(arena, LivePaths(engine_->model()));
   PairKernelOptions reference;
   reference.kernel = PairKernelType::kReference;
   const auto matrices =
       ComputePairMatrices(store, engine_->model(), nullptr, reference);
   for (size_t i = 1; i < refs_.size(); ++i) {
     for (size_t j = 0; j < i; ++j) {
-      if (!candidates.contains(i, j)) {
+      if (candidates.mask(i, j) == 0) {
         EXPECT_EQ(matrices.first.at(i, j), 0.0);
         EXPECT_EQ(matrices.second.at(i, j), 0.0);
       }
@@ -515,7 +521,8 @@ TEST(FusedKernelMiniTest, EmptyAndSingletonStores) {
         engine->config().propagation, refs, /*pool=*/nullptr);
     const ProfileArena arena = ProfileArena::FromStore(store);
     EXPECT_EQ(arena.num_refs(), refs.size());
-    const CandidateSet candidates = CandidateSet::Build(arena);
+    const CandidateSet candidates =
+        CandidateSet::Build(arena, LivePaths(engine->model()));
     EXPECT_EQ(candidates.count(), 0);
     PairKernelOptions fused;
     fused.kernel = PairKernelType::kFused;
@@ -524,6 +531,282 @@ TEST(FusedKernelMiniTest, EmptyAndSingletonStores) {
     EXPECT_EQ(matrices.first.size(), refs.size());
   }
 }
+
+// ---------------------------------------------------------------------------
+// Per-path overlap masks: both marking machines and the dirty-restricted
+// build against brute force, and the masked fill against the reference
+// kernel under a model with dead and negative paths.
+// ---------------------------------------------------------------------------
+
+/// Whether slices a and b share a tuple (brute force, no sortedness used).
+bool SharesTuple(const NeighborProfile& a, const NeighborProfile& b) {
+  for (const ProfileEntry& ea : a.entries()) {
+    for (const ProfileEntry& eb : b.entries()) {
+      if (ea.tuple == eb.tuple) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// The mask CandidateSet must hold for (i, j): bit k for live path k
+/// overlapping, the overflow bit for any overlapping live path past it.
+PathMask BruteForceMask(
+    const std::vector<std::vector<NeighborProfile>>& profiles,
+    const std::vector<uint32_t>& live, size_t i, size_t j) {
+  PathMask mask = 0;
+  for (size_t k = 0; k < live.size(); ++k) {
+    if (SharesTuple(profiles[i][live[k]], profiles[j][live[k]])) {
+      mask |= PathMask{1} << std::min<size_t>(k, CandidateSet::kOverflowBit);
+    }
+  }
+  return mask;
+}
+
+/// Profiles with every shape the mask machines must survive: ~15% empty
+/// slices, a sparse tuple universe, and on every third path a hub tuple
+/// (id 0) held by ~90% of the references, which sends the grouped
+/// machine's cost quadratic and the default cost model to the bitset rows.
+std::vector<std::vector<NeighborProfile>> MaskProfiles(Rng& rng,
+                                                       size_t num_refs,
+                                                       size_t num_paths) {
+  std::vector<std::vector<NeighborProfile>> profiles(num_refs);
+  for (size_t r = 0; r < num_refs; ++r) {
+    for (size_t p = 0; p < num_paths; ++p) {
+      std::vector<ProfileEntry> entries;
+      if (!rng.Bernoulli(0.15)) {
+        if (p % 3 == 0 && rng.Bernoulli(0.9)) {
+          entries.push_back(
+              ProfileEntry{0, rng.UniformDouble(), rng.UniformDouble()});
+        }
+        for (int32_t t = 1; t < 200; ++t) {
+          if (rng.Bernoulli(0.02)) {
+            entries.push_back(
+                ProfileEntry{t, rng.UniformDouble(), rng.UniformDouble()});
+          }
+        }
+      }
+      profiles[r].emplace_back(std::move(entries));
+    }
+  }
+  return profiles;
+}
+
+/// Every path live except p % 4 == 1 (dead in both terms); mixed-sign
+/// weights elsewhere, including paths with only one term exactly zero.
+SimilarityModel DeadAndNegativeModel(size_t num_paths) {
+  std::vector<double> resem(num_paths);
+  std::vector<double> walk(num_paths);
+  for (size_t p = 0; p < num_paths; ++p) {
+    switch (p % 4) {
+      case 0:
+        resem[p] = 0.3 + 0.01 * static_cast<double>(p);
+        walk[p] = -0.2;
+        break;
+      case 1:
+        resem[p] = 0.0;
+        walk[p] = -0.0;  // a signed zero is dead too
+        break;
+      case 2:
+        resem[p] = -0.4;
+        walk[p] = 0.0;
+        break;
+      default:
+        resem[p] = 0.0;
+        walk[p] = 0.7;
+        break;
+    }
+  }
+  return SimilarityModel(std::move(resem), std::move(walk));
+}
+
+/// (seed, paths) over 70 refs, so the bitset rows span two words: 5 paths
+/// fit the mask word, 48 (36 of them live) overflow it.
+class PathMaskTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, size_t>> {
+ protected:
+  static constexpr size_t kRefs = 70;
+  size_t num_paths() const { return std::get<1>(GetParam()); }
+  std::vector<std::vector<NeighborProfile>> Profiles() const {
+    Rng rng(std::get<0>(GetParam()));
+    return MaskProfiles(rng, kRefs, num_paths());
+  }
+};
+
+TEST_P(PathMaskTest, LivePathsDropExactlyTheZeroWeightPaths) {
+  const std::vector<uint32_t> live =
+      LivePaths(DeadAndNegativeModel(num_paths()));
+  for (size_t p = 0; p < num_paths(); ++p) {
+    EXPECT_EQ(std::count(live.begin(), live.end(), p) == 1, p % 4 != 1)
+        << "path " << p;
+  }
+  EXPECT_TRUE(std::is_sorted(live.begin(), live.end()));
+}
+
+TEST_P(PathMaskTest, BothMachinesMatchBruteForcePerPathOverlap) {
+  const auto profiles = Profiles();
+  const ProfileArena arena = ProfileArena::FromProfiles(profiles);
+  const std::vector<uint32_t> live =
+      LivePaths(DeadAndNegativeModel(num_paths()));
+  ASSERT_EQ(live.size() > CandidateSet::kOverflowBit + 1, num_paths() > 32);
+
+  CandidateBuildOptions grouped;
+  grouped.bitset_min_refs = 1 << 30;  // force the sparse grouped marking
+  CandidateBuildOptions bitset;
+  bitset.bitset_min_refs = 0;
+  bitset.bitset_cost_factor = 0.0;  // force the bitset rows
+  const CandidateSet sets[] = {CandidateSet::Build(arena, live, grouped),
+                               CandidateSet::Build(arena, live, bitset),
+                               CandidateSet::Build(arena, live)};
+  int64_t expected_count = 0;
+  for (size_t i = 1; i < kRefs; ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      const PathMask expected = BruteForceMask(profiles, live, i, j);
+      expected_count += expected != 0 ? 1 : 0;
+      for (const CandidateSet& set : sets) {
+        EXPECT_EQ(set.mask(i, j), expected)
+            << "pair (" << i << ", " << j << ")";
+      }
+    }
+  }
+  for (const CandidateSet& set : sets) {
+    EXPECT_EQ(set.live_paths(), live);
+    EXPECT_EQ(set.count(), expected_count);
+  }
+  EXPECT_GT(expected_count, 0);
+}
+
+TEST_P(PathMaskTest, PartialMasksEqualFullMasksOnDirtyCells) {
+  const auto profiles = Profiles();
+  const ProfileArena arena = ProfileArena::FromProfiles(profiles);
+  const std::vector<uint32_t> live =
+      LivePaths(DeadAndNegativeModel(num_paths()));
+  const CandidateSet full = CandidateSet::Build(arena, live);
+  Rng rng(std::get<0>(GetParam()) + 5);
+  std::vector<char> dirty(kRefs, 0);
+  for (size_t r = 0; r < kRefs; ++r) {
+    dirty[r] = rng.Bernoulli(0.2) ? 1 : 0;
+  }
+  dirty[kRefs - 1] = 1;  // an appended reference is always dirty
+  const CandidateSet partial = CandidateSet::BuildPartial(arena, live, dirty);
+  for (size_t i = 1; i < kRefs; ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      EXPECT_EQ(partial.mask(i, j), (dirty[i] | dirty[j]) ? full.mask(i, j)
+                                                          : PathMask{0})
+          << "pair (" << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST_P(PathMaskTest, MaskedFillMatchesReferenceKernelBitIdentically) {
+  const ProfileStore store = ProfileStore::FromProfiles(Profiles());
+  const SimilarityModel model = DeadAndNegativeModel(num_paths());
+  PairKernelOptions reference;
+  reference.kernel = PairKernelType::kReference;
+  const auto expected = ComputePairMatrices(store, model, nullptr, reference);
+
+  ThreadPool pool(4);
+  for (const KernelIsa isa :
+       {KernelIsa::kScalar, KernelIsa::kGallop, KernelIsa::kAvx2}) {
+    for (const double cost_factor : {1.0, 0.0}) {
+      for (ThreadPool* workers : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        PairKernelOptions fused;
+        fused.isa = isa;
+        fused.tile_size = 8;
+        fused.min_parallel_refs = 2;
+        fused.candidates.bitset_min_refs = 0;
+        fused.candidates.bitset_cost_factor = cost_factor;
+        SCOPED_TRACE(std::string(KernelIsaName(ResolveKernelIsa(isa))) +
+                     (cost_factor == 0.0 ? " bitset" : " cost-model") +
+                     (workers ? " pooled" : " serial"));
+        const auto actual = ComputePairMatrices(store, model, workers, fused);
+        ExpectBitIdentical(actual.first, expected.first);
+        ExpectBitIdentical(actual.second, expected.second);
+      }
+    }
+  }
+
+  // The delta refill recomputes dirty cells from the partial masks: it
+  // must land on the reference matrices too.
+  Rng rng(std::get<0>(GetParam()) + 9);
+  std::vector<char> dirty(kRefs, 0);
+  for (size_t r = 0; r < kRefs; ++r) {
+    dirty[r] = rng.Bernoulli(0.25) ? 1 : 0;
+  }
+  const ProfileArena arena = ProfileArena::FromStore(store);
+  const PairMatrix zeros(kRefs);
+  for (ThreadPool* workers : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    PairKernelOptions fused;
+    fused.tile_size = 8;
+    fused.min_parallel_refs = 2;
+    // Clean cells are carried over from `expected`; dirty ones refilled
+    // from scratch — start them from zeros to prove they are recomputed.
+    PairMatrix old_resem = expected.first;
+    PairMatrix old_walk = expected.second;
+    for (size_t i = 1; i < kRefs; ++i) {
+      for (size_t j = 0; j < i; ++j) {
+        if (dirty[i] | dirty[j]) {
+          old_resem.set(i, j, 7.0);
+          old_walk.set(i, j, 7.0);
+        }
+      }
+    }
+    const auto updated = UpdatePairMatrices(store, arena, model, dirty,
+                                            old_resem, old_walk, workers,
+                                            fused);
+    ExpectBitIdentical(updated.first, expected.first);
+    ExpectBitIdentical(updated.second, expected.second);
+  }
+}
+
+TEST_P(PathMaskTest, JoinCountersAddUpPerTile) {
+  const auto profiles = Profiles();
+  const ProfileStore store = ProfileStore::FromProfiles(profiles);
+  const SimilarityModel model = DeadAndNegativeModel(num_paths());
+  const std::vector<uint32_t> live = LivePaths(model);
+  const CandidateSet masks =
+      CandidateSet::Build(ProfileArena::FromStore(store), live);
+  int64_t expected_joins = 0;
+  for (size_t i = 1; i < kRefs; ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      const PathMask mask = masks.mask(i, j);
+      for (size_t k = 0; k < live.size(); ++k) {
+        const bool joined =
+            k < CandidateSet::kOverflowBit
+                ? ((mask >> k) & 1) != 0
+                : (mask >> CandidateSet::kOverflowBit) != 0;
+        expected_joins += joined ? 1 : 0;
+      }
+    }
+  }
+  const int64_t cells = static_cast<int64_t>(kRefs * (kRefs - 1) / 2);
+
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  ThreadPool pool(3);
+  for (ThreadPool* workers : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    obs::MetricsRegistry::Global().Reset();
+    PairKernelOptions fused;
+    fused.tile_size = 8;
+    fused.min_parallel_refs = 2;
+    ComputePairMatrices(store, model, workers, fused);
+    const obs::MetricsSnapshot snapshot =
+        obs::MetricsRegistry::Global().Snapshot();
+    EXPECT_EQ(snapshot.CounterValue("sim.candidate_pairs"), masks.count());
+    EXPECT_EQ(snapshot.CounterValue("sim.path_joins"), expected_joins);
+    EXPECT_EQ(snapshot.CounterValue("sim.path_joins_skipped"),
+              cells * static_cast<int64_t>(num_paths()) - expected_joins);
+  }
+  obs::MetricsRegistry::Global().Reset();
+  obs::SetEnabled(was_enabled);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndWidths, PathMaskTest,
+    ::testing::Combine(::testing::Values(uint64_t{3}, uint64_t{58},
+                                         uint64_t{4096}),
+                       ::testing::Values(size_t{5}, size_t{48})));
 
 }  // namespace
 }  // namespace distinct

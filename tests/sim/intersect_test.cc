@@ -293,8 +293,8 @@ TEST_P(IntersectDifferentialTest, FusedFeaturesIsaParameterIsBitIdentical) {
 
 TEST_P(IntersectDifferentialTest, CandidateMachinesProduceIdenticalBits) {
   Rng rng(GetParam() + 900);
-  // n >= 64 so the bitset path spans multiple row words and the triangle
-  // splice crosses word boundaries at every alignment.
+  // n >= 64 so the bitset rows span multiple words and a row's cut at r
+  // lands at every alignment.
   const size_t kRefs = 70;
   const size_t kPaths = 2;
   std::vector<std::vector<NeighborProfile>> profiles(kRefs);
@@ -317,17 +317,20 @@ TEST_P(IntersectDifferentialTest, CandidateMachinesProduceIdenticalBits) {
   CandidateBuildOptions bitset;
   bitset.bitset_min_refs = 0;
   bitset.bitset_cost_factor = 0.0;  // force the bitset rows
-  const CandidateSet from_grouped = CandidateSet::Build(arena, grouped);
-  const CandidateSet from_bitset = CandidateSet::Build(arena, bitset);
-  const CandidateSet from_default = CandidateSet::Build(arena);
+  const std::vector<uint32_t> both_paths = {0, 1};
+  const CandidateSet from_grouped =
+      CandidateSet::Build(arena, both_paths, grouped);
+  const CandidateSet from_bitset =
+      CandidateSet::Build(arena, both_paths, bitset);
+  const CandidateSet from_default = CandidateSet::Build(arena, both_paths);
 
   EXPECT_EQ(from_grouped.count(), from_bitset.count());
   EXPECT_EQ(from_grouped.count(), from_default.count());
   for (size_t i = 1; i < kRefs; ++i) {
     for (size_t j = 0; j < i; ++j) {
-      EXPECT_EQ(from_grouped.contains(i, j), from_bitset.contains(i, j))
+      EXPECT_EQ(from_grouped.mask(i, j), from_bitset.mask(i, j))
           << "pair (" << i << ", " << j << ")";
-      EXPECT_EQ(from_grouped.contains(i, j), from_default.contains(i, j))
+      EXPECT_EQ(from_grouped.mask(i, j), from_default.mask(i, j))
           << "pair (" << i << ", " << j << ")";
     }
   }
